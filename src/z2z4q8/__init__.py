@@ -19,8 +19,6 @@ from .algebra import (
     mul,
     order,
     parse_element,
-    product,
-    q8_mul,
     render_element,
     square,
     swapper,
@@ -33,7 +31,6 @@ from .code import (
     ParseError,
     RankKernelReport,
     closure,
-    distance,
     export_binary,
     generators_text,
     gf2_basis,
@@ -45,7 +42,6 @@ from .code import (
     rank_gf2,
     rank_kernel_report,
     read_generators,
-    weight,
     write_generators,
 )
 from .construct import (
@@ -58,15 +54,11 @@ from .construct import (
     base_hadamard,
     build_from_plan,
     build_s_generators,
-    chi1,
-    chi2,
-    chi3,
     construct_for,
     lift_to_A,
     make_plan,
     parse_plan,
     plan_text,
-    shape_parameter_range,
 )
 from .reference import (
     REFERENCE_FAMILIES,
@@ -80,7 +72,6 @@ from .structure import (
     CheckResult,
     CodeProfile,
     MeasureResult,
-    NormalizedGenerators,
     StandardGenerators,
     StructureError,
     StructureReport,
@@ -88,8 +79,8 @@ from .structure import (
     classify_shape,
     is_normal_subgroup,
     measure,
-    normalized_generators,
     render_report,
+    shape_parameter_range,
     standardize,
     torsion,
     verify_duplication,

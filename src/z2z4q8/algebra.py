@@ -13,7 +13,6 @@ the defining relations b*a*b^-1 = a^-1 and b^2 = a^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "AmbientSpace",
     "GroupElement",
     "BinaryWord",
-    "q8_mul",
     "mul",
     "inverse",
     "square",
@@ -32,7 +30,6 @@ __all__ = [
     "m_set",
     "render_element",
     "parse_element",
-    "product",
 ]
 
 Q8_NAMES = ("1", "a", "a2", "a3", "b", "ab", "a2b", "a3b")
@@ -195,11 +192,6 @@ class BinaryWord:
         return (self.bits >> (self.n - 1 - pos)) & 1
 
 
-def q8_mul(x: int, y: int) -> int:
-    """Product in Q8 (canonical indices)."""
-    return Q8_MUL[x][y]
-
-
 def _check_same_space(x: GroupElement, y: GroupElement) -> None:
     if x.space != y.space:
         raise ValueError("elements live in different ambient spaces")
@@ -214,11 +206,6 @@ def mul(x: GroupElement, y: GroupElement) -> GroupElement:
         tuple((p + q) & 3 for p, q in zip(x.z4, y.z4)),
         tuple(Q8_MUL[p][q] for p, q in zip(x.q8, y.q8)),
     )
-
-
-def product(elements: Iterable[GroupElement]) -> GroupElement:
-    """Left-to-right product of a non-empty sequence."""
-    return reduce(mul, elements)
 
 
 def inverse(x: GroupElement) -> GroupElement:

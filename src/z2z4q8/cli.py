@@ -38,6 +38,7 @@ from .code import (
     read_generators,
 )
 from .construct import (
+    CONSTRUCTIBLE_SHAPES,
     ConstructionError,
     ConstructionPlan,
     NotAllowableError,
@@ -140,7 +141,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not ok:
             failures.append(f"{name}: {detail}" if detail else name)
 
-    verdict = is_hadamard(BinaryCode.from_group(group))
+    code = BinaryCode.from_group(group)
+    verdict = is_hadamard(code)
     record("hadamard", bool(verdict), verdict.diagnosis)
     if verdict:
         report = standardize(group)
@@ -148,10 +150,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         record("table3", bool(t3), t3.detail)
         dup = verify_duplication(report)
         record("duplication", bool(dup), dup.detail)
-        kernel_same = set(kernel_by_swappers(group)) == set(kernel_bruteforce(
-            BinaryCode.from_group(group)))
+        kernel_same = set(kernel_by_swappers(group)) == set(kernel_bruteforce(code))
         record("kernel_oracles", kernel_same, "swapper kernel differs from brute force")
-        rank_same = rank_by_span_group(group) == rank_gf2(BinaryCode.from_group(group))
+        rank_same = rank_by_span_group(group) == rank_gf2(code)
         record("rank_oracles", rank_same, "span-group rank differs from GF(2) rank")
     lines.append(f"verdict={'fail' if failures else 'pass'}")
     sys.stdout.write("\n".join(lines) + "\n")
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="log2 of the code length")
     p.add_argument("--k", type=int, required=True, help="kernel dimension target")
     p.add_argument("--r", type=int, required=True, help="rank target")
-    p.add_argument("--shape", choices=["1", "1*", "2", "3", "5"],
+    p.add_argument("--shape", choices=CONSTRUCTIBLE_SHAPES,
                    help="force this construction route instead of the preference scan")
     p.add_argument("--dial", type=_dial_list,
                    help="comma-separated Q8 component indices receiving ab-type "

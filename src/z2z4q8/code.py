@@ -33,8 +33,6 @@ __all__ = [
     "ParseError",
     "closure",
     "is_hadamard",
-    "weight",
-    "distance",
     "kernel_bruteforce",
     "kernel_by_swappers",
     "rank_gf2",
@@ -202,14 +200,6 @@ class BinaryCode:
 
     def contains_bits(self, bits: int) -> bool:
         return bits in self._int_set
-
-
-def weight(w: BinaryWord) -> int:
-    return w.weight()
-
-
-def distance(w1: BinaryWord, w2: BinaryWord) -> int:
-    return (w1 ^ w2).weight()
 
 
 def is_hadamard(code: BinaryCode) -> HadamardCheck:

@@ -14,7 +14,7 @@ from math import comb, prod
 
 from .algebra import AmbientSpace, GroupElement, order, render_element, square
 from .code import BinaryCode, CodeGroup, ParseError, closure, is_hadamard
-from .structure import StructureReport, measure, standardize
+from .structure import SHAPES, StructureReport, measure, shape_parameter_range, standardize
 
 __all__ = [
     "ConstructionError",
@@ -22,9 +22,6 @@ __all__ = [
     "BaseHadamardSpec",
     "ConstructionPlan",
     "base_hadamard",
-    "chi1",
-    "chi2",
-    "chi3",
     "lift_to_A",
     "build_s_generators",
     "allowable_pairs",
@@ -36,7 +33,9 @@ __all__ = [
     "parse_plan",
 ]
 
-CONSTRUCTIBLE_SHAPES = ("1", "1*", "2", "3", "5")
+# Preference order of construct_for: the table's rows that name a base type.
+CONSTRUCTIBLE_SHAPES = tuple(
+    shape for shape, row in SHAPES.items() if row.base_u_square is not None)
 
 
 class ConstructionError(ValueError):
@@ -153,37 +152,23 @@ def base_hadamard(spec: BaseHadamardSpec) -> CodeGroup:
 ### Lifting homomorphisms ####################################################
 
 
-def chi1(x: int) -> int:
-    """Binary value into the order-two part of Z4."""
-    return (2 * x) % 4
-
-
-def chi2(x: int) -> int:
-    """Quaternary value into the a-cycle of Q8 (as a Q8 index)."""
-    return x % 4
-
-
-def chi3(x: int) -> tuple[int, int]:
-    """Duplicate a coordinate."""
-    return (x, x)
-
-
 def _lift_element(c: GroupElement, shape: str, target: AmbientSpace,
                   half: tuple[int, ...] = ()) -> GroupElement:
+    """Entrywise image of a base element under the paper's maps: chi1 sends a
+    binary x to 2x in Z4, chi2 sends a quaternary x to a^x in Q8 (whose Q8
+    index is x itself), and chi3 duplicates a coordinate."""
     if shape == "2":
-        return target.element(q8=tuple(chi2(x) for x in c.z4))
+        return target.element(q8=c.z4)
     if shape == "3":
-        return target.element(z4=tuple(chi1(x) for x in c.z2),
-                              q8=tuple(chi2(x) for x in c.z4))
+        return target.element(z4=tuple(2 * x for x in c.z2), q8=c.z4)
     if shape == "4":
-        z2 = tuple(v for x in c.z2 for v in chi3(x))
-        return target.element(z2=z2, q8=tuple(chi2(x) for x in c.z4))
+        return target.element(z2=tuple(v for x in c.z2 for v in (x, x)), q8=c.z4)
     if shape == "4*":
-        z4 = tuple(v for j in half for v in chi3(c.z4[j]))
-        q8 = tuple(chi2(c.z4[j]) for j in range(len(c.z4)) if j not in half)
+        z4 = tuple(v for j in half for v in (c.z4[j], c.z4[j]))
+        q8 = tuple(c.z4[j] for j in range(len(c.z4)) if j not in half)
         return target.element(z4=z4, q8=q8)
     if shape == "5":
-        return target.element(q8=tuple(v for x in c.z4 for v in chi3(chi2(x))))
+        return target.element(q8=tuple(v for x in c.z4 for v in (x, x)))
     raise ConstructionError(f"no lift defined for shape {shape}")
 
 
@@ -226,27 +211,9 @@ def lift_to_A(base: CodeGroup, shape: str) -> CodeGroup:
 ### Allowable (k, r) pairs ###################################################
 
 
-def _existence_ok(m: int, shape: str, sigma: int, tau: int) -> bool:
-    if shape == "1":
-        return sigma == m - tau + 1 and 0 <= tau <= m // 2
-    if shape == "1*":
-        return sigma == m - tau + 1 and 1 <= tau <= (m + 1) // 2
-    if shape == "2":
-        return sigma == m - tau and 1 <= tau <= m // 2
-    if shape == "3":
-        return sigma == m - tau and 1 <= tau <= (m - 1) // 2
-    if shape == "4":
-        return sigma == m - 1 and tau == 1 and m % 2 == 0
-    if shape == "4*":
-        return sigma == m - 2 and tau == 2 and m % 2 == 0
-    if shape == "5":
-        return sigma == m - 3 and tau == 2 and sigma >= 2
-    raise ConstructionError(f"unknown shape {shape}")
-
-
 def allowable_pairs(m: int, shape: str, sigma: int, tau: int) -> set[tuple[int, int]]:
     """All (kernel dimension, rank) pairs achievable at these parameters."""
-    if not _existence_ok(m, shape, sigma, tau):
+    if shape not in SHAPES or (sigma, tau) not in shape_parameter_range(m, shape):
         raise ConstructionError(
             f"no shape-{shape} code exists with m={m}, sigma={sigma}, tau={tau}")
     linear = (m + 1, m + 1)
@@ -286,27 +253,6 @@ def allowable_pairs(m: int, shape: str, sigma: int, tau: int) -> set[tuple[int, 
         return pairs
     # shape 5
     return {(sigma + 4, sigma + 4), (sigma + 2, sigma + 5), (sigma, sigma + 6)}
-
-
-def shape_parameter_range(m: int, shape: str):
-    """(sigma, tau) combinations passing the existence window at length 2^m."""
-    if shape == "1":
-        taus = range(0, m // 2 + 1)
-        return [(m - tau + 1, tau) for tau in taus]
-    if shape == "1*":
-        taus = range(1, (m + 1) // 2 + 1)
-        return [(m - tau + 1, tau) for tau in taus]
-    if shape == "2":
-        return [(m - tau, tau) for tau in range(1, m // 2 + 1)]
-    if shape == "3":
-        return [(m - tau, tau) for tau in range(1, (m - 1) // 2 + 1)]
-    if shape == "4":
-        return [(m - 1, 1)] if m % 2 == 0 else []
-    if shape == "4*":
-        return [(m - 2, 2)] if m % 2 == 0 else []
-    if shape == "5":
-        return [(m - 3, 2)] if m >= 5 else []
-    raise ConstructionError(f"unknown shape {shape}")
 
 
 def all_allowable_pairs(m: int) -> dict[tuple[int, int], tuple[str, int, int]]:
@@ -434,17 +380,10 @@ def build_s_generators(a_group: CodeGroup, plan: ConstructionPlan) -> list[Group
 
 
 def _base_spec_for(shape: str, sigma: int, tau: int) -> BaseHadamardSpec:
-    if shape == "1":
-        return BaseHadamardSpec(sigma - tau, tau, False)
-    if shape == "1*":
-        return BaseHadamardSpec(sigma - tau, tau, True)
-    if shape == "2":
-        return BaseHadamardSpec(sigma - tau, tau, True)
-    if shape == "3":
-        return BaseHadamardSpec(sigma - tau, tau, False)
-    if shape == "5":
-        return BaseHadamardSpec(sigma - 2, 2, True)
-    raise ConstructionError(f"shape {shape} is classified, not constructed")
+    u_square = SHAPES[shape].base_u_square
+    if u_square is None:
+        raise ConstructionError(f"shape {shape} is classified, not constructed")
+    return BaseHadamardSpec(sigma - tau, tau, u_square)
 
 
 def _component_classes(rs: tuple[GroupElement, ...], k3: int,
@@ -570,13 +509,11 @@ def make_plan(m: int, shape: str, sigma: int, tau: int,
 def construct_for(m: int, target_k: int, target_r: int) -> tuple[CodeGroup, StructureReport]:
     """Emit a Hadamard code of length 2^m with the requested kernel dimension
     and rank, choosing the first shape admitting the pair in preference order."""
-    for shape in CONSTRUCTIBLE_SHAPES:
-        for sigma, tau in shape_parameter_range(m, shape):
-            if (target_k, target_r) in allowable_pairs(m, shape, sigma, tau):
-                plan = make_plan(m, shape, sigma, tau, target_k, target_r)
-                return build_from_plan(plan)
-    candidates = sorted(all_allowable_pairs(m))
-    nearest = tuple(sorted(candidates,
+    table = all_allowable_pairs(m)
+    if (target_k, target_r) in table:
+        shape, sigma, tau = table[(target_k, target_r)]
+        return build_from_plan(make_plan(m, shape, sigma, tau, target_k, target_r))
+    nearest = tuple(sorted(table,
                            key=lambda p: (abs(p[0] - target_k) + abs(p[1] - target_r), p))[:5])
     raise NotAllowableError(
         f"(k,r)=({target_k},{target_r}) is not allowable at length 2^{m}; "

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
     AmbientSpace,
@@ -38,10 +39,12 @@ __all__ = [
     "StandardGenerators",
     "StructureReport",
     "MeasureResult",
-    "NormalizedGenerators",
+    "ShapeRow",
+    "SHAPES",
+    "SHAPE_LABELS",
+    "shape_parameter_range",
     "torsion",
     "center",
-    "normalized_generators",
     "classify_shape",
     "standardize",
     "measure",
@@ -51,11 +54,62 @@ __all__ = [
     "render_report",
 ]
 
-SHAPE_LABELS = ("1", "1*", "2", "3", "4", "4*", "5")
-
 
 class StructureError(ValueError):
     """A group does not admit the structure these routines rely on."""
+
+
+### Parameter table ##########################################################
+
+
+def _pow2(e: int) -> int:
+    return 2 ** e if e >= 0 else 0
+
+
+@dataclass(frozen=True)
+class ShapeRow:
+    """One row of the paper's parameter table (Table 3) for a shape label.
+
+    upsilon is log2 of the index of the abelian part A in the group.  taus(m)
+    is the existence window: the tau values a code of length 2^m can have;
+    sigma then follows from m + 1 = sigma + tau + upsilon.  counts(sigma, tau)
+    gives the ambient component counts (k1, k2, k3).  Every constructed shape
+    lifts an abelian base code of type 2^(sigma-tau) 4^tau; base_u_square says
+    whether that base contains an order-four element squaring to the all-ones
+    element u, and is None for the shapes that are classified only.
+    """
+
+    upsilon: int
+    taus: Callable[[int], range]
+    counts: Callable[[int, int], tuple[int, int, int]]
+    base_u_square: bool | None
+
+
+SHAPES: MappingProxyType[str, ShapeRow] = MappingProxyType({
+    "1": ShapeRow(0, lambda m: range(0, m // 2 + 1),
+                  lambda s, t: (_pow2(s - 1), (2 ** t - 1) * _pow2(s - 2), 0), False),
+    "1*": ShapeRow(0, lambda m: range(1, (m + 1) // 2 + 1),
+                   lambda s, t: (0, _pow2(s + t - 2), 0), True),
+    "2": ShapeRow(1, lambda m: range(1, m // 2 + 1),
+                  lambda s, t: (0, 0, _pow2(s + t - 2)), True),
+    "3": ShapeRow(1, lambda m: range(1, (m - 1) // 2 + 1),
+                  lambda s, t: (0, _pow2(s - 1), (2 ** t - 1) * _pow2(s - 2)), False),
+    "4": ShapeRow(1, lambda m: range(1, 2) if m % 2 == 0 else range(0),
+                  lambda s, t: (_pow2(s), 0, _pow2(s - 2)), None),
+    "4*": ShapeRow(1, lambda m: range(2, 3) if m % 2 == 0 else range(0),
+                   lambda s, t: (0, _pow2(s), _pow2(s - 1)), None),
+    "5": ShapeRow(2, lambda m: range(2, 3) if m >= 5 else range(0),
+                  lambda s, t: (0, 0, _pow2(s + 1)), True),
+})
+SHAPE_LABELS = tuple(SHAPES)
+
+
+def shape_parameter_range(m: int, shape: str) -> list[tuple[int, int]]:
+    """(sigma, tau) combinations passing the existence window at length 2^m."""
+    row = SHAPES.get(shape)
+    if row is None:
+        raise StructureError(f"unknown shape {shape}")
+    return [(m + 1 - tau - row.upsilon, tau) for tau in row.taus(m)]
 
 
 @dataclass(frozen=True)
@@ -124,48 +178,6 @@ def center(group: CodeGroup) -> CodeGroup:
     if len(span) != len(cen):
         raise StructureError("centralizer scan did not close into a subgroup")
     return _subgroup(group.space, basis, cen)
-
-
-@dataclass(frozen=True)
-class NormalizedGenerators:
-    """Greedy generating chain: x spans the torsion, y extends it to the
-    center, z completes the group; lengths give (sigma, delta, rho)."""
-
-    x: tuple[GroupElement, ...]
-    y: tuple[GroupElement, ...]
-    z: tuple[GroupElement, ...]
-
-    @property
-    def sigma(self) -> int:
-        return len(self.x)
-
-    @property
-    def delta(self) -> int:
-        return len(self.y)
-
-    @property
-    def rho(self) -> int:
-        return len(self.z)
-
-
-def normalized_generators(group: CodeGroup) -> NormalizedGenerators:
-    t_group = torsion(group)
-    z_group = center(group)
-    xs = list(t_group.generators)
-    span = set(t_group.elements)
-    ys: list[GroupElement] = []
-    for c in z_group.elements:
-        if c not in span:
-            ys.append(c)
-            span = _extend_span(span, c)
-    zs: list[GroupElement] = []
-    for c in group.elements:
-        if c not in span:
-            zs.append(c)
-            span = _extend_span(span, c)
-    if len(span) != len(group) or 2 ** (len(xs) + len(ys) + len(zs)) != len(group):
-        raise StructureError("group order is not 2^(sigma+delta+rho)")
-    return NormalizedGenerators(tuple(xs), tuple(ys), tuple(zs))
 
 
 ### Shape classification #####################################################
@@ -351,12 +363,11 @@ def standardize(group: CodeGroup) -> StructureReport:
     delta = z_group.log2_order - sigma
     rho = m + 1 - sigma - delta
     shape = classify_shape(group)
-    t_set = set(t_group.elements)
+    upsilon = SHAPES[shape].upsilon
+    tau = m + 1 - sigma - upsilon
     z_set = set(z_group.elements)
 
     if shape in ("1", "1*"):
-        upsilon = 0
-        tau = m + 1 - sigma
         order4 = [c for c in group.elements if order(c) == 4]
         rs: list[GroupElement] = []
         if shape == "1*":
@@ -369,8 +380,6 @@ def standardize(group: CodeGroup) -> StructureReport:
         a_set = set(group.elements)
         ss: tuple[GroupElement, ...] = ()
     else:
-        upsilon = 2 if shape == "5" else 1
-        tau = m + 1 - sigma - upsilon
         picks = tau - delta
         if picks < 0:
             raise StructureError(f"impossible layer sizes: tau={tau}, delta={delta}")
@@ -625,31 +634,8 @@ def verify_table3(report: StructureReport, space: AmbientSpace) -> CheckResult:
     shape = report.shape
     if space.n != 2 ** m:
         return CheckResult(False, f"binary length {space.n} != 2^{m}")
-
-    def pow2(e: int) -> int:
-        return 2 ** e if e >= 0 else 0
-
-    if shape == "1":
-        expect = (pow2(sigma - 1), (2 ** tau - 1) * pow2(sigma - 2), 0)
-        exists = sigma == m - tau + 1 and 0 <= tau <= m // 2
-    elif shape == "1*":
-        expect = (0, pow2(sigma + tau - 2), 0)
-        exists = sigma == m - tau + 1 and 1 <= tau <= (m + 1) // 2
-    elif shape == "2":
-        expect = (0, 0, pow2(sigma + tau - 2))
-        exists = sigma == m - tau and 1 <= tau <= m // 2
-    elif shape == "3":
-        expect = (0, pow2(sigma - 1), (2 ** tau - 1) * pow2(sigma - 2))
-        exists = sigma == m - tau and 1 <= tau <= (m - 1) // 2
-    elif shape == "4":
-        expect = (pow2(sigma), 0, pow2(sigma - 2))
-        exists = sigma == m - 1 and tau == 1 and m % 2 == 0
-    elif shape == "4*":
-        expect = (0, pow2(sigma), pow2(sigma - 1))
-        exists = sigma == m - 2 and tau == 2 and m % 2 == 0
-    else:
-        expect = (0, 0, pow2(sigma + 1))
-        exists = sigma == m - 3 and tau == 2 and sigma >= 2
+    expect = SHAPES[shape].counts(sigma, tau)
+    exists = (sigma, tau) in shape_parameter_range(m, shape)
     actual = (space.k1, space.k2, space.k3)
     if actual != expect:
         return CheckResult(False,

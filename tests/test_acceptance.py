@@ -11,6 +11,7 @@ import random
 import time
 from dataclasses import dataclass
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from z2z4q8.algebra import (
 from z2z4q8.code import (
     BinaryCode,
     closure,
+    generators_text,
     is_hadamard,
     kernel_bruteforce,
     kernel_by_swappers,
@@ -53,6 +55,8 @@ from z2z4q8.structure import (
 )
 
 SWEEP_RANGE = range(3, 8)  # lengths 8 .. 128
+# Benchmark goldens: the generator file of every sweep code, read only here.
+GOLDEN_GENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "gens"
 
 
 ### Shared corpus ############################################################
@@ -279,6 +283,8 @@ def test_criterion_6_coverage_sweep_all_shapes(corpus):
                 mes = measure(group, report)
                 assert (mes.k, mes.r) == (k, r)
                 measured[(m, k, r)] = mes.case
+                golden = GOLDEN_GENS / f"m{m}-k{k}-r{r}.gens"
+                assert generators_text(group) == golden.read_text(), golden.name
     # Anything that failed to build must lie in a case-4c printed range;
     # those are reported here rather than silently skipped.
     for m, k, r, message in corpus.sweep_failures:
@@ -287,9 +293,10 @@ def test_criterion_6_coverage_sweep_all_shapes(corpus):
         print(f"unreachable case-4c range value: m={m} k={k} r={r}: {message}")
     elapsed = corpus.sweep_seconds + time.monotonic() - t0
     assert elapsed < 120.0
-    print(f"criterion 6 PASS: {len(measured)} (m,k,r) targets constructed and "
-          f"re-measured exactly, {len(corpus.sweep_failures)} case-4c range "
-          f"values reported unreachable ({elapsed:.2f}s)")
+    print(f"criterion 6 PASS: {len(measured)} (m,k,r) targets constructed, "
+          f"re-measured exactly and byte-identical to their golden generator "
+          f"files, {len(corpus.sweep_failures)} case-4c range values reported "
+          f"unreachable ({elapsed:.2f}s)")
 
 
 ### Criterion 7: structural invariants on every code #########################
@@ -301,7 +308,7 @@ def test_criterion_7_structural_invariants(corpus):
         quotient = len(group) // len(report.abelian_max)
         assert quotient in (1, 2, 4), label
         assert quotient == 2 ** report.profile.upsilon, label
-        assert is_normal_subgroup(report.abelian_max, group), label
+        assert is_normal_subgroup(group, report.abelian_max), label
         assert verify_table3(report, group.space), label
         assert verify_duplication(report), label
         count += 1

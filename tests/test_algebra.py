@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2z4q8.algebra import (
+    Q8_MUL,
     AmbientSpace,
     BinaryWord,
     commutator,
@@ -20,8 +21,6 @@ from z2z4q8.algebra import (
     mul,
     order,
     parse_element,
-    product,
-    q8_mul,
     render_element,
     square,
     swapper,
@@ -148,7 +147,7 @@ def test_swapper_defining_equation():
     # The swapper is defined by Gray(swapper(x,y) * x * y) = Gray(x) ^ Gray(y).
     for x in elements_of(AmbientSpace(0, 1, 1)):
         for y in elements_of(x.space):
-            lhs = gray(product([swapper(x, y), x, y]))
+            lhs = gray(mul(mul(swapper(x, y), x), y))
             assert lhs == gray(x) ^ gray(y)
 
 
@@ -156,7 +155,7 @@ def test_commutator_defining_equation():
     # x*y = commutator(x,y) * y * x, exhaustively on one Q8 component.
     for x in elements_of(Q8_SPACE):
         for y in elements_of(Q8_SPACE):
-            assert mul(x, y) == product([commutator(x, y), y, x])
+            assert mul(x, y) == mul(mul(commutator(x, y), y), x)
 
 
 ### Group arithmetic #########################################################
@@ -164,21 +163,21 @@ def test_commutator_defining_equation():
 
 def test_q8_presentation_relations():
     one, a, b = 0, 1, 4
-    a2 = q8_mul(a, a)
-    assert q8_mul(a2, a2) == one  # a^4 = 1
-    assert q8_mul(b, b) == a2  # b^2 = a^2
+    a2 = Q8_MUL[a][a]
+    assert Q8_MUL[a2][a2] == one  # a^4 = 1
+    assert Q8_MUL[b][b] == a2  # b^2 = a^2
     # b a b^-1 = a^-1
-    b_inv = next(c for c in range(8) if q8_mul(b, c) == one)
-    a_inv = next(c for c in range(8) if q8_mul(a, c) == one)
-    assert q8_mul(q8_mul(b, a), b_inv) == a_inv
+    b_inv = next(c for c in range(8) if Q8_MUL[b][c] == one)
+    a_inv = next(c for c in range(8) if Q8_MUL[a][c] == one)
+    assert Q8_MUL[Q8_MUL[b][a]][b_inv] == a_inv
 
 
 def test_q8_is_associative_and_closed():
     for x in range(8):
         for y in range(8):
-            assert 0 <= q8_mul(x, y) < 8
+            assert 0 <= Q8_MUL[x][y] < 8
             for z in range(8):
-                assert q8_mul(q8_mul(x, y), z) == q8_mul(x, q8_mul(y, z))
+                assert Q8_MUL[Q8_MUL[x][y]][z] == Q8_MUL[x][Q8_MUL[y][z]]
 
 
 def test_orders_single_components():
@@ -278,7 +277,7 @@ def test_swapper_lands_in_torsion(a, b):
 @settings(max_examples=200, deadline=None)
 @given(_mixed_elements(MIXED_SPACE), _mixed_elements(MIXED_SPACE))
 def test_gray_additivity_defect_is_the_swapper(a, b):
-    assert gray(product([swapper(a, b), a, b])) == gray(a) ^ gray(b)
+    assert gray(mul(mul(swapper(a, b), a), b)) == gray(a) ^ gray(b)
 
 
 ### M-sets, rendering, words #################################################

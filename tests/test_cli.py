@@ -1,5 +1,7 @@
 """Command-line interface: golden outputs, round trips, exit codes."""
 
+from pathlib import Path
+
 import pytest
 
 from z2z4q8.cli import (
@@ -11,26 +13,14 @@ from z2z4q8.cli import (
     main,
 )
 
-TABLE_M4 = (
-    "k=2 r=7 shape=2 sigma=2 tau=2\n"
-    "k=3 r=6 shape=1 sigma=3 tau=2\n"
-    "k=5 r=5 shape=1 sigma=5 tau=0\n"
-)
-
-TABLE_M5 = (
-    "k=2 r=8 shape=5 sigma=2 tau=2\n"
-    "k=3 r=8 shape=2 sigma=3 tau=2\n"
-    "k=3 r=9 shape=3 sigma=3 tau=2\n"
-    "k=4 r=7 shape=1 sigma=4 tau=2\n"
-    "k=6 r=6 shape=1 sigma=6 tau=0\n"
-)
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def test_table_golden(capsys):
-    assert main(["table", "--m", "4"]) == EXIT_OK
-    assert capsys.readouterr().out == TABLE_M4
-    assert main(["table", "--m", "5"]) == EXIT_OK
-    assert capsys.readouterr().out == TABLE_M5
+    # goldens/table_m<m>.txt hold the table output for lengths 8 .. 1024.
+    for m in range(3, 11):
+        assert main(["table", "--m", str(m)]) == EXIT_OK
+        assert capsys.readouterr().out == (GOLDENS / f"table_m{m}.txt").read_text(), m
 
 
 def test_construct_writes_file_and_report(tmp_path, capsys):

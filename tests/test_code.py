@@ -10,7 +10,6 @@ from z2z4q8.code import (
     ClosureSizeError,
     ParseError,
     closure,
-    distance,
     export_binary,
     generators_text,
     gf2_basis,
@@ -22,7 +21,6 @@ from z2z4q8.code import (
     rank_gf2,
     rank_kernel_report,
     read_generators,
-    weight,
 )
 from z2z4q8.construct import BaseHadamardSpec, base_hadamard
 from z2z4q8.reference import REFERENCE_FAMILY_B, build_reference_code
@@ -114,9 +112,9 @@ def test_hadamard_requires_all_ones():
 
 def test_weight_and_distance_helpers():
     w1, w2 = BinaryWord(6, 0b110100), BinaryWord(6, 0b101001)
-    assert weight(w1) == 3
-    assert distance(w1, w2) == 4
-    assert distance(w1, w1) == 0
+    assert w1.weight() == 3
+    assert (w1 ^ w2).weight() == 4
+    assert (w1 ^ w1).weight() == 0
 
 
 ### GF(2) helpers ############################################################
@@ -223,4 +221,4 @@ def test_z4_gray_distance_matches_lee_distance(x, y):
     space = AmbientSpace(0, 1, 0)
     gx, gy = gray(space.element(z4=(x,))), gray(space.element(z4=(y,)))
     lee = min((x - y) % 4, (y - x) % 4)
-    assert distance(gx, gy) == lee
+    assert (gx ^ gy).weight() == lee

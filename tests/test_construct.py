@@ -16,9 +16,6 @@ from z2z4q8.construct import (
     base_hadamard,
     build_from_plan,
     build_s_generators,
-    chi1,
-    chi2,
-    chi3,
     construct_for,
     lift_to_A,
     make_plan,
@@ -80,9 +77,17 @@ def test_binary_only_base_is_first_order_reed_muller():
 
 
 def test_chi_maps():
-    assert [chi1(0), chi1(1)] == [0, 2]
-    assert [chi2(v) for v in range(4)] == [0, 1, 2, 3]
-    assert chi3(3) == (3, 3)
+    # Lifts act entrywise: chi1 sends a binary 0, 1 to 0, 2 in Z4, chi2 sends
+    # a quaternary x to a^x in Q8, and chi3 duplicates a coordinate.
+    chi1 = {0: 0, 1: 2}
+    chi2 = {0: "1", 1: "a", 2: "a2", 3: "a3"}
+    mixed = base_hadamard(BaseHadamardSpec(2, 1, False))
+    for c, image in zip(mixed.generators, lift_to_A(mixed, "3").generators):
+        assert image == image.space.element(
+            z4=[chi1[x] for x in c.z2], q8=[chi2[x] for x in c.z4])
+    quaternary = base_hadamard(BaseHadamardSpec(1, 2, True))
+    for c, image in zip(quaternary.generators, lift_to_A(quaternary, "5").generators):
+        assert image == image.space.element(q8=[v for x in c.z4 for v in (chi2[x], chi2[x])])
 
 
 def test_lift_shapes_and_sizes():

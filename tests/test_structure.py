@@ -6,6 +6,8 @@ hand-built length-16 codes covering the two shapes that the constructor
 never emits on its own.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from z2z4q8.algebra import AmbientSpace, commutator, order
@@ -17,14 +19,16 @@ from z2z4q8.reference import (
     build_reference_code,
 )
 from z2z4q8.structure import (
+    SHAPE_LABELS,
     CheckResult,
+    CodeProfile,
     StructureError,
     center,
     classify_shape,
     is_normal_subgroup,
     measure,
-    normalized_generators,
     render_report,
+    shape_parameter_range,
     standardize,
     torsion,
     verify_duplication,
@@ -81,21 +85,25 @@ def test_torsion_and_center_single_q8():
     assert t.same_elements(z)
 
 
-def test_normalized_generators_on_q8():
+def _layer_sizes(group):
+    """(sigma, delta, rho): log2 of |T|, |Z/T| and |C/Z|."""
+    sigma, z = torsion(group).log2_order, center(group).log2_order
+    return sigma, z - sigma, group.log2_order - z
+
+
+def test_layer_sizes_on_q8():
     # For Q8 itself the center equals the torsion subgroup, so delta = 0.
     space = AmbientSpace(0, 0, 1)
     q8 = closure([space.element(q8=("a",)), space.element(q8=("b",))], space)
-    ngens = normalized_generators(q8)
-    assert (ngens.sigma, ngens.delta, ngens.rho) == (1, 0, 2)
+    assert _layer_sizes(q8) == (1, 0, 2)
 
 
-def test_normalized_generators_abelian():
+def test_layer_sizes_abelian():
     space = AmbientSpace(2, 1, 0)
     group = closure([space.element(z2=(1, 0), z4=(0,)),
                      space.element(z2=(0, 1), z4=(0,)),
                      space.element(z2=(0, 0), z4=(1,))], space)
-    ngens = normalized_generators(group)
-    assert (ngens.sigma, ngens.delta, ngens.rho) == (3, 1, 0)
+    assert _layer_sizes(group) == (3, 1, 0)
 
 
 def test_is_normal_subgroup():
@@ -270,6 +278,49 @@ def test_verify_table3_wrong_space(family_b_reports):
     _, _, report = family_b_reports[0]
     wrong = AmbientSpace(0, 0, 32)
     assert not verify_table3(report, wrong)
+
+
+def test_verify_table3_existence_window(family_b_reports):
+    # Shape-2 counts match Q8^8 at sigma=2, tau=3, but tau > m // 2 = 2.
+    _, _, report = family_b_reports[0]
+    profile = CodeProfile(m=5, sigma=2, tau=3, tau_bar=2, upsilon=1, delta=0, rho=4)
+    check = verify_table3(replace(report, shape="2", profile=profile),
+                          AmbientSpace(0, 0, 8))
+    assert not check
+    assert check.detail == "shape 2 existence condition fails at m=5, sigma=2, tau=3"
+
+
+# (sigma, tau) windows per label, in SHAPE_LABELS order, at m = 3 .. 10.
+PARAMETER_RANGES = {
+    3: ([(4, 0), (3, 1)], [(3, 1), (2, 2)], [(2, 1)], [(2, 1)], [], [], []),
+    4: ([(5, 0), (4, 1), (3, 2)], [(4, 1), (3, 2)], [(3, 1), (2, 2)], [(3, 1)],
+        [(3, 1)], [(2, 2)], []),
+    5: ([(6, 0), (5, 1), (4, 2)], [(5, 1), (4, 2), (3, 3)], [(4, 1), (3, 2)],
+        [(4, 1), (3, 2)], [], [], [(2, 2)]),
+    6: ([(7, 0), (6, 1), (5, 2), (4, 3)], [(6, 1), (5, 2), (4, 3)],
+        [(5, 1), (4, 2), (3, 3)], [(5, 1), (4, 2)], [(5, 1)], [(4, 2)], [(3, 2)]),
+    7: ([(8, 0), (7, 1), (6, 2), (5, 3)], [(7, 1), (6, 2), (5, 3), (4, 4)],
+        [(6, 1), (5, 2), (4, 3)], [(6, 1), (5, 2), (4, 3)], [], [], [(4, 2)]),
+    8: ([(9, 0), (8, 1), (7, 2), (6, 3), (5, 4)], [(8, 1), (7, 2), (6, 3), (5, 4)],
+        [(7, 1), (6, 2), (5, 3), (4, 4)], [(7, 1), (6, 2), (5, 3)], [(7, 1)],
+        [(6, 2)], [(5, 2)]),
+    9: ([(10, 0), (9, 1), (8, 2), (7, 3), (6, 4)],
+        [(9, 1), (8, 2), (7, 3), (6, 4), (5, 5)], [(8, 1), (7, 2), (6, 3), (5, 4)],
+        [(8, 1), (7, 2), (6, 3), (5, 4)], [], [], [(6, 2)]),
+    10: ([(11, 0), (10, 1), (9, 2), (8, 3), (7, 4), (6, 5)],
+         [(10, 1), (9, 2), (8, 3), (7, 4), (6, 5)],
+         [(9, 1), (8, 2), (7, 3), (6, 4), (5, 5)], [(9, 1), (8, 2), (7, 3), (6, 4)],
+         [(9, 1)], [(8, 2)], [(7, 2)]),
+}
+
+
+def test_shape_parameter_range_golden():
+    assert SHAPE_LABELS == ("1", "1*", "2", "3", "4", "4*", "5")
+    for m, ranges in PARAMETER_RANGES.items():
+        for shape, expected in zip(SHAPE_LABELS, ranges):
+            assert shape_parameter_range(m, shape) == expected, (m, shape)
+    with pytest.raises(StructureError):
+        shape_parameter_range(5, "9")
 
 
 def test_verify_duplication_family_b(family_b_reports):
