@@ -75,6 +75,7 @@ from .structure import (
     StandardGenerators,
     StructureError,
     StructureReport,
+    allowable_cases,
     center,
     classify_shape,
     is_normal_subgroup,

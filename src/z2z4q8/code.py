@@ -287,10 +287,9 @@ class RankKernelReport:
         return self.r == self.span_dimension_check and self.k <= self.r
 
 
-def rank_kernel_report(group: CodeGroup, code: BinaryCode | None = None) -> RankKernelReport:
+def rank_kernel_report(group: CodeGroup) -> RankKernelReport:
     """Compute rank and kernel by both routes and cross-check them."""
-    if code is None:
-        code = BinaryCode.from_group(group)
+    code = BinaryCode.from_group(group)
     kernel_set = kernel_bruteforce(code)
     kernel_other = kernel_by_swappers(group)
     if kernel_set != kernel_other:

@@ -10,11 +10,18 @@ target (m, k, r) into such a recipe and verifies the outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import prod
 
 from .algebra import AmbientSpace, GroupElement, order, render_element, square
 from .code import BinaryCode, CodeGroup, ParseError, closure, is_hadamard
-from .structure import SHAPES, StructureReport, measure, shape_parameter_range, standardize
+from .structure import (
+    SHAPES,
+    StructureReport,
+    allowable_cases,
+    measure,
+    shape_parameter_range,
+    standardize,
+)
 
 __all__ = [
     "ConstructionError",
@@ -32,11 +39,6 @@ __all__ = [
     "plan_text",
     "parse_plan",
 ]
-
-# Preference order of construct_for: the table's rows that name a base type.
-CONSTRUCTIBLE_SHAPES = tuple(
-    shape for shape, row in SHAPES.items() if row.base_u_square is not None)
-
 
 class ConstructionError(ValueError):
     """A construction request cannot be satisfied."""
@@ -174,17 +176,17 @@ def _lift_element(c: GroupElement, shape: str, target: AmbientSpace,
 
 def lift_to_A(base: CodeGroup, shape: str) -> CodeGroup:
     """Componentwise image of an abelian base code, per shape."""
+    row = SHAPES.get(shape)
+    if row is None or row.upsilon == 0:
+        raise ConstructionError(f"shape {shape} has no lift")
     space = base.space
     u = space.all_ones()
     has_u_square = any(order(c) == 4 and square(c) == u for c in base.elements)
-    if shape in ("2", "4*", "5"):
+    if row.u_square:
         if space.k1 or not has_u_square:
             raise ConstructionError(f"shape {shape} lifts a quaternary base with a u-square")
-    elif shape in ("3", "4"):
-        if not space.k1 or has_u_square:
-            raise ConstructionError(f"shape {shape} lifts a mixed base without u-squares")
-    else:
-        raise ConstructionError(f"shape {shape} has no lift")
+    elif not space.k1 or has_u_square:
+        raise ConstructionError(f"shape {shape} lifts a mixed base without u-squares")
 
     half: tuple[int, ...] = ()
     if shape == "2":
@@ -211,48 +213,31 @@ def lift_to_A(base: CodeGroup, shape: str) -> CodeGroup:
 ### Allowable (k, r) pairs ###################################################
 
 
-def allowable_pairs(m: int, shape: str, sigma: int, tau: int) -> set[tuple[int, int]]:
-    """All (kernel dimension, rank) pairs achievable at these parameters."""
-    if shape not in SHAPES or (sigma, tau) not in shape_parameter_range(m, shape):
+def _shape_cases(m: int, shape: str, sigma: int, tau: int) -> dict[str, tuple[int, range]]:
+    """allowable_cases for a shape's parameters, after the existence window."""
+    row = SHAPES.get(shape)
+    if row is None or (sigma, tau) not in shape_parameter_range(m, shape):
         raise ConstructionError(
             f"no shape-{shape} code exists with m={m}, sigma={sigma}, tau={tau}")
-    linear = (m + 1, m + 1)
-    if shape == "1":
-        if tau <= 1:
-            return {linear}
-        return {(sigma, sigma + tau + comb(tau, 2))}
-    if shape == "1*":
-        if tau <= 2:
-            return {linear}
-        return {(sigma + 1, sigma + tau + comb(tau - 1, 2))}
-    if shape in ("2", "4", "4*"):
-        if tau == 1:
-            pairs = {linear}
-            if m > 3:
-                pairs.add((sigma, sigma + 3))
-            return pairs
-        if tau == 2:
-            return {(sigma + 3, sigma + 3), (sigma + 1, sigma + 4), (sigma, sigma + 5)}
-        base = sigma + tau + 1
-        pairs = {(sigma + 2, base + comb(tau - 1, 2))}
-        if sigma > tau:
-            pairs.add((sigma + 1, base + comb(tau, 2)))
-        pairs.update((sigma, r) for r in
-                     range(base + comb(tau - 1, 2), base + comb(tau, 2) + 2))
-        return pairs
-    if shape == "3":
-        if tau == 1:
-            pairs = {linear}
-            if m > 3:
-                pairs.add((sigma, sigma + 3))
-            return pairs
-        base = sigma + tau + 1
-        pairs = {(sigma + 1, base + comb(tau, 2))}
-        pairs.update((sigma, r) for r in
-                     range(base + comb(tau, 2) + 1, base + comb(tau + 1, 2) + 1))
-        return pairs
-    # shape 5
-    return {(sigma + 4, sigma + 4), (sigma + 2, sigma + 5), (sigma, sigma + 6)}
+    tau_bar = tau - 1 if row.u_square else tau
+    return allowable_cases(m, sigma, tau, tau_bar, row.upsilon)
+
+
+def allowable_pairs(m: int, shape: str, sigma: int, tau: int) -> set[tuple[int, int]]:
+    """All (kernel dimension, rank) pairs achievable at these parameters."""
+    return {(k, r) for k, ranks in _shape_cases(m, shape, sigma, tau).values()
+            for r in ranks}
+
+
+def _target_case(m: int, shape: str, sigma: int, tau: int,
+                 target_k: int, target_r: int) -> tuple[str, range]:
+    """Case tag and rank range of the case offering (target_k, target_r)."""
+    for tag, (k, ranks) in _shape_cases(m, shape, sigma, tau).items():
+        if k == target_k and target_r in ranks:
+            return tag, ranks
+    raise ConstructionError(
+        f"({target_k},{target_r}) is not allowable for "
+        f"shape {shape} at m={m}, sigma={sigma}, tau={tau}")
 
 
 def all_allowable_pairs(m: int) -> dict[tuple[int, int], tuple[str, int, int]]:
@@ -283,11 +268,8 @@ class ConstructionPlan:
     dial: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        pairs = allowable_pairs(self.m, self.shape, self.sigma, self.tau)
-        if (self.target_k, self.target_r) not in pairs:
-            raise ConstructionError(
-                f"({self.target_k},{self.target_r}) is not allowable for "
-                f"shape {self.shape} at m={self.m}, sigma={self.sigma}, tau={self.tau}")
+        _target_case(self.m, self.shape, self.sigma, self.tau,
+                     self.target_k, self.target_r)
 
 
 def plan_text(plan: ConstructionPlan) -> str:
@@ -321,6 +303,10 @@ def parse_plan(text: str) -> ConstructionPlan:
 ### Outside generators #######################################################
 
 _B, _AB, _ONE, _A2 = 4, 5, 0, 2  # Q8 value indices used by the recipes
+
+# The shapes with a recipe, in construct_for's order of preference; shapes 4
+# and 4* are classified but never constructed.
+CONSTRUCTIBLE_SHAPES = ("1", "1*", "2", "3", "5")
 
 
 def _r_generators(a_group: CodeGroup, tau: int) -> tuple[GroupElement, ...]:
@@ -380,10 +366,9 @@ def build_s_generators(a_group: CodeGroup, plan: ConstructionPlan) -> list[Group
 
 
 def _base_spec_for(shape: str, sigma: int, tau: int) -> BaseHadamardSpec:
-    u_square = SHAPES[shape].base_u_square
-    if u_square is None:
+    if shape not in CONSTRUCTIBLE_SHAPES:
         raise ConstructionError(f"shape {shape} is classified, not constructed")
-    return BaseHadamardSpec(sigma - tau, tau, u_square)
+    return BaseHadamardSpec(sigma - tau, tau, SHAPES[shape].u_square)
 
 
 def _component_classes(rs: tuple[GroupElement, ...], k3: int,
@@ -400,73 +385,44 @@ def _component_classes(rs: tuple[GroupElement, ...], k3: int,
     return classes
 
 
-def _plan_dial(shape: str, sigma: int, tau: int, target_k: int, target_r: int,
+def _plan_dial(shape: str, tau: int, tag: str, ranks: range, target_r: int,
                a_group: CodeGroup) -> tuple[int, ...]:
-    """Derive the ab-component set realizing (target_k, target_r)."""
-    space = a_group.space
-    k3 = space.k3
-    linear_k = sigma + tau + 1
-    if shape in ("1", "1*"):
-        return ()
+    """Derive the ab-component set realizing case `tag` at rank target_r."""
+    if tag.endswith("a"):
+        return ()  # case a of every family takes no ab-type entries
+    k3 = a_group.space.k3
     rs = _r_generators(a_group, tau)
-    if shape == "5":
-        r2 = rs[1]
-        mset = sorted(_order4_components(r2))
-        comp = sorted(set(range(k3)) - set(mset))
-        if target_k == sigma + 4:
-            return ()
-        if target_k == sigma + 2:
-            return (comp[0],)
-        return (comp[0], mset[0])
-    if tau == 1:
-        if target_k == linear_k:
-            return ()
+    if tag == "2b":
         return tuple(range(1, k3))
-    if shape == "2" and tau == 2:
+    if tag in ("3b", "3c"):
         o2 = _order4_components(rs[1])
         outside = [j for j in range(k3) if j not in o2]
-        if target_k == sigma + 3:
-            return ()
-        if target_k == sigma + 1:
-            keep = set(o2) | {outside[0]}
-            return tuple(j for j in range(k3) if j not in keep)
-        keep = {min(o2), outside[0]}
+        keep = set(o2) | {outside[0]} if tag == "3b" else {min(o2), outside[0]}
         return tuple(j for j in range(k3) if j not in keep)
-    # Rank dial: one ab per surviving component class.
+    if tag in ("5b", "5c"):
+        mset = sorted(_order4_components(rs[1]))
+        comp = sorted(set(range(k3)) - set(mset))
+        return (comp[0],) if tag == "5b" else (comp[0], mset[0])
+    if tag == "4b":
+        torsion_sorted = [c for c in a_group.elements if order(c) <= 2]
+        sq_span = {square(c) for c in a_group.elements}
+        x = next((c for c in torsion_sorted if c not in sq_span), None)
+        if x is None:
+            raise ConstructionError(
+                "every torsion element is a square; this rank needs sigma > tau")
+        return tuple(j for j, val in enumerate(x.q8) if val == _A2)
+    # Case 4c, a rank dial: one ab per surviving component class, each level
+    # below the top of the range banning one more r generator.
     classes = _component_classes(rs, k3, skip_first=(shape == "2"))
-    if shape == "2":
-        if any(not members for members in classes.values()) or len(classes) != 2 ** (tau - 1):
-            raise ConstructionError("component classes do not split as expected")
-        top = sigma + tau + 1 + comb(tau - 1, 2) + tau
-        if target_k == sigma + 2:
-            return ()
-        if target_k == sigma + 1:
-            torsion_sorted = [c for c in a_group.elements if order(c) <= 2]
-            sq_span = {square(c) for c in a_group.elements}
-            x = next((c for c in torsion_sorted if c not in sq_span), None)
-            if x is None:
-                raise ConstructionError(
-                    "every torsion element is a square; this rank needs sigma > tau")
-            return tuple(j for j, val in enumerate(x.q8) if val == _A2)
-        level = top - target_r
-        if not 0 <= level <= tau:
-            raise ConstructionError(f"rank {target_r} outside the dial range")
-        if level == tau:
-            return tuple(classes[frozenset()])
-        banned = set(range(2, 2 + level))
-        return tuple(sorted(min(members) for sig, members in classes.items()
-                            if not sig & banned))
-    # shape 3
-    classes.pop(frozenset(), None)
-    if len(classes) != 2 ** tau - 1:
+    if shape == "3":
+        classes.pop(frozenset(), None)
+    if len(classes) != (2 ** (tau - 1) if shape == "2" else 2 ** tau - 1):
         raise ConstructionError("component classes do not split as expected")
-    if target_k == sigma + 1:
-        return ()
-    top = sigma + tau + 1 + comb(tau + 1, 2)
-    level = top - target_r
-    if not 0 <= level <= tau - 1:
-        raise ConstructionError(f"rank {target_r} outside the dial range")
-    banned = set(range(1, 1 + level))
+    level = ranks[-1] - target_r
+    if shape == "2" and level == tau:
+        return tuple(classes[frozenset()])
+    first = 2 if shape == "2" else 1
+    banned = set(range(first, first + level))
     return tuple(sorted(min(members) for sig, members in classes.items()
                         if not sig & banned))
 
@@ -500,8 +456,9 @@ def make_plan(m: int, shape: str, sigma: int, tau: int,
     if shape in ("1", "1*"):
         dial: tuple[int, ...] = ()
     else:
+        tag, ranks = _target_case(m, shape, sigma, tau, target_k, target_r)
         a_group = lift_to_A(base_hadamard(_base_spec_for(shape, sigma, tau)), shape)
-        dial = _plan_dial(shape, sigma, tau, target_k, target_r, a_group)
+        dial = _plan_dial(shape, tau, tag, ranks, target_r, a_group)
     return ConstructionPlan(m=m, shape=shape, sigma=sigma, tau=tau,
                             target_k=target_k, target_r=target_r, dial=dial)
 

@@ -43,6 +43,7 @@ __all__ = [
     "SHAPES",
     "SHAPE_LABELS",
     "shape_parameter_range",
+    "allowable_cases",
     "torsion",
     "center",
     "classify_shape",
@@ -73,16 +74,17 @@ class ShapeRow:
     upsilon is log2 of the index of the abelian part A in the group.  taus(m)
     is the existence window: the tau values a code of length 2^m can have;
     sigma then follows from m + 1 = sigma + tau + upsilon.  counts(sigma, tau)
-    gives the ambient component counts (k1, k2, k3).  Every constructed shape
-    lifts an abelian base code of type 2^(sigma-tau) 4^tau; base_u_square says
-    whether that base contains an order-four element squaring to the all-ones
-    element u, and is None for the shapes that are classified only.
+    gives the ambient component counts (k1, k2, k3).  u_square says whether
+    an order-four element of the abelian part squares to the all-ones element
+    u; it holds exactly when tau_bar = tau - 1.  Every shape starts from an
+    abelian base code of type 2^(sigma-tau) 4^tau with the same flag (shapes
+    1 and 1* are that base).
     """
 
     upsilon: int
     taus: Callable[[int], range]
     counts: Callable[[int, int], tuple[int, int, int]]
-    base_u_square: bool | None
+    u_square: bool
 
 
 SHAPES: MappingProxyType[str, ShapeRow] = MappingProxyType({
@@ -95,9 +97,9 @@ SHAPES: MappingProxyType[str, ShapeRow] = MappingProxyType({
     "3": ShapeRow(1, lambda m: range(1, (m - 1) // 2 + 1),
                   lambda s, t: (0, _pow2(s - 1), (2 ** t - 1) * _pow2(s - 2)), False),
     "4": ShapeRow(1, lambda m: range(1, 2) if m % 2 == 0 else range(0),
-                  lambda s, t: (_pow2(s), 0, _pow2(s - 2)), None),
+                  lambda s, t: (_pow2(s), 0, _pow2(s - 2)), False),
     "4*": ShapeRow(1, lambda m: range(2, 3) if m % 2 == 0 else range(0),
-                   lambda s, t: (0, _pow2(s), _pow2(s - 1)), None),
+                   lambda s, t: (0, _pow2(s), _pow2(s - 1)), True),
     "5": ShapeRow(2, lambda m: range(2, 3) if m >= 5 else range(0),
                   lambda s, t: (0, 0, _pow2(s + 1)), True),
 })
@@ -193,9 +195,7 @@ def classify_shape(group: CodeGroup) -> str:
     upgraded to 5 when a second pair shares a square equal to its commutator
     outside {e, u}; otherwise shape 3 when u is a square at all, else 4.
     """
-    space = group.space
-    ident = space.identity()
-    u = space.all_ones()
+    u = group.space.all_ones()
     t_group = torsion(group)
     z_group = center(group)
     if len(z_group) == len(group):
@@ -207,14 +207,17 @@ def classify_shape(group: CodeGroup) -> str:
     if delta != 0:
         raise StructureError(
             f"unclassifiable: center exceeds torsion by 2^{delta}, expected factor 1 or 2")
-    order4 = [c for c in group.elements if order(c) == 4]
-    u_squares = [c for c in order4 if square(c) == u]
+    # Order-four elements bucketed by their square (never e).
+    by_square: dict[GroupElement, list[GroupElement]] = {}
+    for c in group.elements:
+        if order(c) == 4:
+            by_square.setdefault(square(c), []).append(c)
+    u_squares = by_square.pop(u, [])
     pair_uu = any(commutator(z1, z2) == u for z1, z2 in combinations(u_squares, 2))
     if pair_uu:
-        for z3, z4 in combinations(order4, 2):
-            sq = square(z3)
-            if sq != u and sq != ident and square(z4) == sq and commutator(z3, z4) == sq:
-                return "5"
+        if any(commutator(z3, z4) == sq for sq, bucket in by_square.items()
+               for z3, z4 in combinations(bucket, 2)):
+            return "5"
         return "2"
     if u_squares:
         return "3"
@@ -550,76 +553,108 @@ def _validate_report(group: CodeGroup, report: StructureReport) -> None:
 ### Measurement ##############################################################
 
 
-def _match_case(group: CodeGroup, report: StructureReport) -> tuple[str, int, tuple[int, int]]:
-    """Return (case tag, expected kernel dimension, inclusive rank range)."""
-    prof = report.profile
-    sigma, tau, tau_bar, upsilon = prof.sigma, prof.tau, prof.tau_bar, prof.upsilon
-    rs, ss = report.std_gens.r, report.std_gens.s
+def allowable_cases(m: int, sigma: int, tau: int, tau_bar: int,
+                    upsilon: int) -> dict[str, tuple[int, range]]:
+    """The paper's rank and kernel theorem: every measurement case a profile
+    allows, mapped to its kernel dimension k and its range of ranks r.
 
-    def exact(k: int, r: int, tag: str):
-        return tag, k, (r, r)
+    Cases 1a-1c are the abelian codes, 2a-2b, 3a-3c and 4a-4c the codes with
+    an index-two abelian part (tau = 1; tau = 2 with tau_bar = 1; tau_bar >= 2)
+    and 5a-5c those with an index-four one.  Case 2b needs m > 3 and case 4b
+    sigma > tau; only case 4c spans more than one rank.  A profile no case
+    fits gets an empty map.
+    """
+    def exact(k: int, r: int) -> tuple[int, range]:
+        return k, range(r, r + 1)
 
     if upsilon == 0:
         if tau_bar <= 1:
-            return exact(sigma + tau, sigma + tau, "1a")
+            return {"1a": exact(sigma + tau, sigma + tau)}
         if tau_bar == tau - 1:
-            return exact(sigma + 1, sigma + tau + comb(tau - 1, 2), "1b")
-        return exact(sigma, sigma + tau + comb(tau, 2), "1c")
+            return {"1b": exact(sigma + 1, sigma + tau + comb(tau - 1, 2))}
+        return {"1c": exact(sigma, sigma + tau + comb(tau, 2))}
     if upsilon == 1 and tau == 1:
-        if swapper(ss[0], rs[0]) in group:
-            return exact(sigma + 2, sigma + 2, "2a")
-        return exact(sigma, sigma + 3, "2b")
+        cases = {"2a": exact(sigma + 2, sigma + 2)}
+        if m > 3:
+            cases["2b"] = exact(sigma, sigma + 3)
+        return cases
     if upsilon == 1 and tau == 2 and tau_bar == 1:
+        return {"3a": exact(sigma + 3, sigma + 3), "3b": exact(sigma + 1, sigma + 4),
+                "3c": exact(sigma, sigma + 5)}
+    if upsilon == 1 and tau >= 2 and tau_bar >= 2:
+        base = sigma + tau + 1
+        cases = {"4a": exact(sigma + 1 + tau - tau_bar, base + comb(tau_bar, 2))}
+        if tau_bar == tau - 1:
+            if sigma > tau:
+                cases["4b"] = exact(sigma + 1, base + comb(tau, 2))
+            cases["4c"] = sigma, range(base + comb(tau - 1, 2), base + comb(tau, 2) + 2)
+        else:
+            cases["4c"] = sigma, range(base + comb(tau, 2) + 1, base + comb(tau + 1, 2) + 1)
+        return cases
+    if upsilon == 2:
+        return {"5a": exact(sigma + 4, sigma + 4), "5b": exact(sigma + 2, sigma + 5),
+                "5c": exact(sigma, sigma + 6)}
+    return {}
+
+
+def _match_case(group: CodeGroup, report: StructureReport,
+                cases: dict[str, tuple[int, range]]) -> str:
+    """Case tag of the group: the table's family for its profile, and within
+    the family the member picked by swapper membership of the standard
+    generators."""
+    if not cases:
+        raise StructureError(f"no measurement case matches profile {report.profile}")
+    prof = report.profile
+    rs, ss = report.std_gens.r, report.std_gens.s
+    first = next(iter(cases))
+    family = first[0]
+    if family == "1":
+        return first  # an abelian profile allows exactly one case
+    if family == "2":
+        return "2a" if swapper(ss[0], rs[0]) in group else "2b"
+    if family == "3":
         s1, (r1, r2) = ss[0], rs
         inside = sum(swapper(s1, c) in group for c in (r1, r2, mul(r1, r2)))
-        if inside == 3:
-            return exact(sigma + 3, sigma + 3, "3a")
-        if inside == 1:
-            return exact(sigma + 1, sigma + 4, "3b")
-        if inside == 0:
-            return exact(sigma, sigma + 5, "3c")
-        raise StructureError(f"impossible swapper membership count {inside} at tau=2")
-    if upsilon == 1 and tau >= 2 and tau_bar >= 2:
+        tag = {3: "3a", 1: "3b", 0: "3c"}.get(inside)
+        if tag is None:
+            raise StructureError(f"impossible swapper membership count {inside} at tau=2")
+        return tag
+    if family == "4":
         s1 = ss[0]
         a_gens = report.abelian_max.generators
         if any(all(swapper(mul(b, s1), a) in group for a in a_gens)
                for b in report.r_part.elements):
-            return exact(sigma + 1 + tau - tau_bar, sigma + tau + 1 + comb(tau_bar, 2), "4a")
-        if tau_bar == tau - 1 and swapper(s1, rs[0]) in group:
-            return exact(sigma + 1, sigma + tau + 1 + comb(tau, 2), "4b")
-        base = sigma + tau + 1
-        if tau_bar == tau - 1:
-            lo, hi = base + comb(tau - 1, 2), base + comb(tau, 2) + 1
-        else:
-            lo, hi = base + comb(tau, 2) + 1, base + comb(tau + 1, 2)
-        return "4c", sigma, (lo, hi)
-    if upsilon == 2:
-        (r1, r2), (s1, s2) = rs, ss
-        inside = sum(t in group for t in
-                     (swapper(r2, s2), swapper(mul(r1, r2), mul(s1, s2))))
-        if inside == 2:
-            return exact(sigma + 4, sigma + 4, "5a")
-        if inside == 1:
-            return exact(sigma + 2, sigma + 5, "5b")
-        return exact(sigma, sigma + 6, "5c")
-    raise StructureError(f"no measurement case matches profile {prof}")
+            return "4a"
+        if prof.tau_bar == prof.tau - 1 and swapper(s1, rs[0]) in group:
+            return "4b"
+        return "4c"
+    (r1, r2), (s1, s2) = rs, ss
+    inside = sum(t in group for t in
+                 (swapper(r2, s2), swapper(mul(r1, r2), mul(s1, s2))))
+    return ("5c", "5b", "5a")[inside]
 
 
 def measure(group: CodeGroup, report: StructureReport | None = None) -> MeasureResult:
     """Kernel dimension and rank of the Gray image, with the matched case tag.
 
     The pair is computed by the independent oracles of the code module; the
-    matched case's predicted value (or range, for tag 4c) is then asserted, so
-    a witness-selection bug here surfaces as a loud mismatch error.  A report
-    from an earlier standardize call may be passed to avoid recomputing it.
+    matched case's predicted value (or range, for tag 4c) from
+    allowable_cases is then asserted, so a witness-selection bug here
+    surfaces as a loud mismatch error.  A report from an earlier standardize
+    call may be passed to avoid recomputing it.
     """
     if report is None:
         report = standardize(group)
     rk = rank_kernel_report(group)
-    tag, exp_k, (r_lo, r_hi) = _match_case(group, report)
-    if rk.k != exp_k or not r_lo <= rk.r <= r_hi:
+    prof = report.profile
+    cases = allowable_cases(prof.m, prof.sigma, prof.tau, prof.tau_bar, prof.upsilon)
+    tag = _match_case(group, report, cases)
+    if tag not in cases:
+        raise StructureError(f"case {tag} is not allowed for profile {prof}")
+    exp_k, ranks = cases[tag]
+    if rk.k != exp_k or rk.r not in ranks:
         raise StructureError(
-            f"case mismatch: tag {tag} predicts k={exp_k}, r in [{r_lo},{r_hi}], "
+            f"case mismatch: tag {tag} predicts k={exp_k}, r in [{ranks[0]},{ranks[-1]}], "
             f"measured k={rk.k}, r={rk.r}")
     return MeasureResult(k=rk.k, r=rk.r, case=tag)
 

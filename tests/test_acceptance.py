@@ -10,7 +10,6 @@ budgets asserted here include the real build work.
 import random
 import time
 from dataclasses import dataclass
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -47,6 +46,8 @@ from z2z4q8.reference import (
 )
 from z2z4q8.structure import (
     SHAPE_LABELS,
+    SHAPES,
+    allowable_cases,
     is_normal_subgroup,
     measure,
     standardize,
@@ -252,16 +253,13 @@ def test_criterion_5_oracle_equivalence_on_all_codes(corpus):
 def _case_4c_pairs(m):
     """All (k, r) values printed for the open-ended case-4c rank ranges."""
     pairs = set()
-    for sigma, tau in shape_parameter_range(m, "2"):
-        if tau >= 3:
-            base = sigma + tau + 1
-            pairs.update((sigma, r) for r in
-                         range(base + comb(tau - 1, 2), base + comb(tau, 2) + 2))
-    for sigma, tau in shape_parameter_range(m, "3"):
-        if tau >= 2:
-            base = sigma + tau + 1
-            pairs.update((sigma, r) for r in
-                         range(base + comb(tau, 2) + 1, base + comb(tau + 1, 2) + 1))
+    for shape, row in SHAPES.items():
+        for sigma, tau in shape_parameter_range(m, shape):
+            tau_bar = tau - 1 if row.u_square else tau
+            cases = allowable_cases(m, sigma, tau, tau_bar, row.upsilon)
+            if "4c" in cases:
+                k, ranks = cases["4c"]
+                pairs.update((k, r) for r in ranks)
     return pairs
 
 

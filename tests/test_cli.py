@@ -1,5 +1,9 @@
-"""Command-line interface: golden outputs, round trips, exit codes."""
+"""Command-line interface: golden outputs, round trips, exit codes, and the
+documented report scripts."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ from z2z4q8.cli import (
 )
 
 GOLDENS = Path(__file__).parent / "goldens"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_table_golden(capsys):
@@ -205,3 +210,19 @@ def test_dial_requires_shape(capsys):
     with pytest.raises(SystemExit):
         main(["construct", "--m", "5", "--k", "3", "--r", "8", "--dial", "1"])
     capsys.readouterr()
+
+
+def _run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_documented_scripts_run():
+    sweep = _run_script("sweep_report.py", "--m-min", "3", "--m-max", "5")
+    assert sweep.returncode == 0, sweep.stdout + sweep.stderr
+    assert "# 9/9 constructed" in sweep.stdout
+    ref = _run_script("reproduce_reference_codes.py", "--family", "B")
+    assert ref.returncode == 0, ref.stdout + ref.stderr
+    assert [line.endswith(" ok") for line in ref.stdout.splitlines()
+            if not line.startswith("#")] == [True] * 3

@@ -1,5 +1,7 @@
 """Construction pipeline: base codes, lifts, dials, planner, target scan."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,9 @@ from z2z4q8.construct import (
     parse_plan,
     plan_text,
 )
-from z2z4q8.structure import measure
+from z2z4q8.structure import SHAPE_LABELS, measure, shape_parameter_range
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 ### Base codes ###############################################################
@@ -163,6 +167,19 @@ def test_allowable_pairs_drops_intermediate_kernel_at_sigma_eq_tau():
     assert (4, 10) not in pairs
     # One length up the middle value exists.
     assert (5, 11) in allowable_pairs(7, "2", 4, 3)
+
+
+def test_allowable_pairs_golden():
+    # goldens/allowable_pairs.txt: the sorted pairs of every (sigma, tau)
+    # window of every shape label at lengths 8 .. 4096.
+    lines = []
+    for m in range(3, 13):
+        for shape in SHAPE_LABELS:
+            for sigma, tau in shape_parameter_range(m, shape):
+                pairs = sorted(allowable_pairs(m, shape, sigma, tau))
+                lines.append(f"m={m} shape={shape} sigma={sigma} tau={tau}: "
+                             + " ".join(f"{k},{r}" for k, r in pairs))
+    assert lines == (GOLDENS / "allowable_pairs.txt").read_text().splitlines()
 
 
 def test_allowable_pairs_rejects_bad_parameters():

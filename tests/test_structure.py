@@ -6,6 +6,7 @@ hand-built length-16 codes covering the two shapes that the constructor
 never emits on its own.
 """
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -223,6 +224,21 @@ def test_shape4star_measurements(shape4star_codes):
         assert (mes.k, mes.r, mes.case) == expectations[tag]
         assert verify_table3(report, group.space)
         assert verify_duplication(report)
+
+
+@pytest.mark.parametrize("profile,message", [
+    pytest.param(CodeProfile(m=3, sigma=2, tau=1, tau_bar=1, upsilon=1, delta=0, rho=2),
+                 "case 2b is not allowed for profile CodeProfile(m=3, sigma=2, tau=1,",
+                 id="2b-needs-m-above-3"),
+    pytest.param(CodeProfile(m=5, sigma=4, tau=1, tau_bar=1, upsilon=1, delta=0, rho=2),
+                 "case mismatch: tag 2b predicts k=4, r in [7,7], measured k=3, r=6",
+                 id="2b-predicts-another-pair"),
+])
+def test_measure_rejects_case_the_profile_does_not_predict(shape4_codes, profile, message):
+    group = shape4_codes["nonlinear"]
+    report = replace(standardize(group), profile=profile)
+    with pytest.raises(StructureError, match=re.escape(message)):
+        measure(group, report)
 
 
 ### Report structure and invariants ##########################################
