@@ -28,6 +28,7 @@ from .code import (
     ClosureSizeError,
     CodeGroup,
     HadamardCheck,
+    OracleMismatch,
     ParseError,
     RankKernelReport,
     closure,

@@ -23,9 +23,11 @@ import sys
 from pathlib import Path
 
 from .code import (
+    DEFAULT_CLOSURE_CAP,
     BinaryCode,
     ClosureSizeError,
     CodeGroup,
+    OracleMismatch,
     ParseError,
     closure,
     export_binary,
@@ -73,13 +75,15 @@ def _write_or_print(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text)
 
 
-def _load_group(path: str) -> CodeGroup:
+def _load_group(path: str, hadamard_only: bool = False) -> CodeGroup:
+    """Read and close a generator file.  Commands that accept only Hadamard
+    codes cap the closure at the 2n codewords such a code has."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     space, gens = read_generators(text)
-    return closure(gens, space)
+    return closure(gens, space, 2 * space.n if hadamard_only else DEFAULT_CLOSURE_CAP)
 
 
 def _require_hadamard(group: CodeGroup) -> None:
@@ -115,7 +119,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    group = _load_group(args.input_path)
+    group = _load_group(args.input_path, hadamard_only=True)
     _require_hadamard(group)
     report = standardize(group)
     sys.stdout.write(render_report(report))
@@ -123,7 +127,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    group = _load_group(args.input_path)
+    group = _load_group(args.input_path, hadamard_only=True)
     _require_hadamard(group)
     report = standardize(group)
     measured = measure(group, report)
@@ -266,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (StructureError, ClosureSizeError) as exc:
+    except (StructureError, ClosureSizeError, OracleMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -1,4 +1,8 @@
-"""Subgroup closures, Gray-image codes, Hadamard checks, rank and kernel.
+"""Subgroup enumeration, Gray-image codes, Hadamard checks, rank and kernel.
+
+Every subgroup is enumerated coset by coset (Span, Dimino's algorithm):
+the code group itself, the subgroups the structure module scans, and the
+span group behind the group-side rank oracle.
 
 Rank and kernel are each computed by two independent routes (plain GF(2)
 linear algebra on the binary codewords vs. group-theoretic criteria via
@@ -30,7 +34,9 @@ __all__ = [
     "HadamardCheck",
     "RankKernelReport",
     "ClosureSizeError",
+    "OracleMismatch",
     "ParseError",
+    "Span",
     "closure",
     "is_hadamard",
     "kernel_bruteforce",
@@ -50,6 +56,10 @@ DEFAULT_CLOSURE_CAP = 1 << 20
 
 class ClosureSizeError(RuntimeError):
     """Closure grew past the configured cap (wrong generators, most likely)."""
+
+
+class OracleMismatch(RuntimeError):
+    """Two independent oracles for the same invariant disagree."""
 
 
 class ParseError(ValueError):
@@ -88,7 +98,7 @@ def gf2_basis(rows: Iterable[int]) -> list[int]:
     return [pivots[h] for h in sorted(pivots, reverse=True)]
 
 
-### Group closure ############################################################
+### Subgroup enumeration ####################################################
 
 
 class CodeGroup:
@@ -126,39 +136,73 @@ class CodeGroup:
         return self._member_set == other._member_set
 
 
+class Span:
+    """A subgroup grown one generator at a time, enumerated coset by coset.
+
+    add(g) is one step of Dimino's algorithm (Butler, Fundamental Algorithms
+    for Permutation Groups, ch. 6): with H the span so far, it multiplies
+    each coset representative (the identity first) by every generator and
+    appends the right coset H*y of each product y not yet spanned.  Right
+    cosets partition the span, so g need not normalize H.  `generators`
+    lists, in order, the added elements that were not yet spanned.
+    """
+
+    def __init__(self, space: AmbientSpace, elements: Iterable[GroupElement] = (),
+                 cap: int = DEFAULT_CLOSURE_CAP) -> None:
+        self.space = space
+        self.cap = cap
+        self.elements: list[GroupElement] = [space.identity()]
+        self.members: set[GroupElement] = set(self.elements)
+        self.generators: list[GroupElement] = []
+        for g in elements:
+            self.add(g)
+
+    def add(self, g: GroupElement) -> None:
+        if g in self.members:
+            return
+        if g.space != self.space:
+            raise ValueError("generators live in different ambient spaces")
+        self.generators.append(g)
+        old = self.elements[:]
+        reps = old[:1]  # the identity represents H itself
+        for rep in reps:
+            for s in self.generators:
+                y = mul(rep, s)
+                if y in self.members:
+                    continue
+                if len(self.elements) + len(old) > self.cap:
+                    raise ClosureSizeError(f"closure exceeded cap of {self.cap} elements")
+                coset = [mul(h, y) for h in old]
+                self.elements.extend(coset)
+                self.members.update(coset)
+                reps.append(y)
+
+    def copy(self) -> "Span":
+        twin = Span(self.space, cap=self.cap)
+        twin.elements = self.elements[:]
+        twin.members = set(self.members)
+        twin.generators = self.generators[:]
+        return twin
+
+    def __contains__(self, x: GroupElement) -> bool:
+        return x in self.members
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
 def closure(
     generators: Sequence[GroupElement],
     space: AmbientSpace | None = None,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> CodeGroup:
-    """Subgroup generated by the given elements (worklist closure).
-
-    Inverses come for free: every element here has order dividing 4.
-    """
+    """Subgroup generated by the given elements, in canonical order."""
     if space is None:
         if not generators:
             raise ValueError("need at least one generator or an explicit space")
         space = generators[0].space
-    for g in generators:
-        if g.space != space:
-            raise ValueError("generators live in different ambient spaces")
-    identity = space.identity()
-    seen: set[GroupElement] = {identity}
-    work = [identity]
-    while work:
-        x = work.pop()
-        for g in generators:
-            y = mul(x, g)
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise ClosureSizeError(f"closure exceeded cap of {cap} elements")
-                seen.add(y)
-                work.append(y)
-    ordered = sorted(seen, key=render_element)
-    size = len(ordered)
-    if size & (size - 1):
-        raise AssertionError(f"subgroup order {size} is not a power of two")
-    return CodeGroup(space, generators, ordered)
+    span = Span(space, generators, cap)
+    return CodeGroup(space, generators, sorted(span.elements, key=render_element))
 
 
 ### Binary codes #############################################################
@@ -272,8 +316,8 @@ def rank_by_span_group(group: CodeGroup, cap: int = DEFAULT_CLOSURE_CAP) -> int:
         for i, gi in enumerate(group.generators)
         for gj in group.generators[i + 1 :]
     ]
-    span = closure(tuple(group.generators) + tuple(extra), space=group.space, cap=cap)
-    return span.log2_order
+    span = Span(group.space, tuple(group.generators) + tuple(extra), cap)
+    return len(span).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -293,15 +337,15 @@ def rank_kernel_report(group: CodeGroup) -> RankKernelReport:
     kernel_set = kernel_bruteforce(code)
     kernel_other = kernel_by_swappers(group)
     if kernel_set != kernel_other:
-        raise AssertionError("kernel oracles disagree")
+        raise OracleMismatch("kernel oracles disagree")
     basis = gf2_basis(w.bits for w in kernel_set)
     k = len(basis)
     if 1 << k != len(kernel_set):
-        raise AssertionError("kernel is not a linear subspace")
+        raise OracleMismatch("kernel is not a linear subspace")
     r = rank_gf2(code)
     r2 = rank_by_span_group(group)
     if r != r2:
-        raise AssertionError(f"rank oracles disagree: {r} vs {r2}")
+        raise OracleMismatch(f"rank oracles disagree: {r} vs {r2}")
     report = RankKernelReport(
         r=r,
         k=k,
@@ -309,7 +353,7 @@ def rank_kernel_report(group: CodeGroup) -> RankKernelReport:
         span_dimension_check=r2,
     )
     if not report.consistent():
-        raise AssertionError("inconsistent rank/kernel report")
+        raise OracleMismatch("inconsistent rank/kernel report")
     return report
 
 

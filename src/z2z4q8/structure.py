@@ -26,11 +26,10 @@ from .algebra import (
     inverse,
     mul,
     order,
-    render_element,
     square,
     swapper,
 )
-from .code import BinaryCode, CodeGroup, closure, is_hadamard, rank_kernel_report
+from .code import BinaryCode, CodeGroup, Span, is_hadamard, rank_kernel_report
 
 __all__ = [
     "StructureError",
@@ -128,47 +127,13 @@ class CheckResult:
 ### Subgroup scans ###########################################################
 
 
-def _subgroup(space: AmbientSpace, generators: Sequence[GroupElement],
-              elements: Iterable[GroupElement]) -> CodeGroup:
-    ordered = sorted(set(elements), key=render_element)
-    size = len(ordered)
-    if size & (size - 1):
-        raise StructureError(f"subgroup scan produced {size} elements, not a power of two")
-    return CodeGroup(space, tuple(generators), ordered)
-
-
-def _extend_span(span: set[GroupElement], c: GroupElement) -> set[GroupElement]:
-    """span * <c> for a subgroup span normalized by c (true whenever the
-    commutators of c land in span, which holds for every span containing all
-    order-two elements of the enclosing group, and for abelian contexts)."""
-    out = set(span)
-    p = c
-    while p not in span:
-        out.update(mul(h, p) for h in span)
-        p = mul(p, c)
-    return out
-
-
-def _greedy_basis(elements: Sequence[GroupElement], space: AmbientSpace,
-                  start: set[GroupElement] | None = None) -> tuple[list[GroupElement], set[GroupElement]]:
-    """First-come generating family for the given element list (scan order =
-    canonical element order), starting from an optional already-spanned set."""
-    span = set(start) if start is not None else {space.identity()}
-    basis: list[GroupElement] = []
-    for c in elements:
-        if c not in span:
-            basis.append(c)
-            span = _extend_span(span, c)
-    return basis, span
-
-
 def torsion(group: CodeGroup) -> CodeGroup:
     """Subgroup of all elements of order at most two."""
     elems = [c for c in group.elements if order(c) <= 2]
-    basis, span = _greedy_basis(elems, group.space)
+    span = Span(group.space, elems)
     if len(span) != len(elems):
         raise StructureError("order-two elements do not form a subgroup")
-    return _subgroup(group.space, basis, elems)
+    return CodeGroup(group.space, span.generators, elems)
 
 
 def center(group: CodeGroup) -> CodeGroup:
@@ -176,10 +141,10 @@ def center(group: CodeGroup) -> CodeGroup:
     ident = group.space.identity()
     cen = [c for c in group.elements
            if all(commutator(c, g) == ident for g in group.generators)]
-    basis, span = _greedy_basis(cen, group.space)
+    span = Span(group.space, cen)
     if len(span) != len(cen):
         raise StructureError("centralizer scan did not close into a subgroup")
-    return _subgroup(group.space, basis, cen)
+    return CodeGroup(group.space, span.generators, cen)
 
 
 ### Shape classification #####################################################
@@ -195,9 +160,11 @@ def classify_shape(group: CodeGroup) -> str:
     upgraded to 5 when a second pair shares a square equal to its commutator
     outside {e, u}; otherwise shape 3 when u is a square at all, else 4.
     """
+    return _classify(group, torsion(group), center(group))
+
+
+def _classify(group: CodeGroup, t_group: CodeGroup, z_group: CodeGroup) -> str:
     u = group.space.all_ones()
-    t_group = torsion(group)
-    z_group = center(group)
     if len(z_group) == len(group):
         has_u_square = any(order(c) == 4 and square(c) == u for c in group.elements)
         return "1*" if has_u_square else "1"
@@ -286,19 +253,11 @@ class MeasureResult:
 ### Standardization ##########################################################
 
 
-def _gf2_span(space: AmbientSpace, elems: Iterable[GroupElement]) -> set[GroupElement]:
-    span = {space.identity()}
-    for e in elems:
-        if e not in span:
-            span = _extend_span(span, e)
-    return span
-
-
-def _abelian_extensions(group: CodeGroup, base_span: set[GroupElement], picks: int,
-                        avoid_u_square: bool) -> Iterator[tuple[tuple[GroupElement, ...], set[GroupElement]]]:
+def _abelian_extensions(group: CodeGroup, base_span: Span, picks: int,
+                        avoid_u_square: bool) -> Iterator[tuple[tuple[GroupElement, ...], Span]]:
     """Depth-first scan over commuting order-four extensions of base_span.
 
-    Yields (chosen, spanned set) for every way (in canonical scan order) of
+    Yields (chosen, span) for every way (in canonical scan order) of
     enlarging base_span by `picks` pairwise-commuting order-four elements,
     optionally refusing any choice whose squares would span the all-ones
     element u.
@@ -308,8 +267,7 @@ def _abelian_extensions(group: CodeGroup, base_span: set[GroupElement], picks: i
     u = space.all_ones()
     elems = group.elements
 
-    def rec(chosen: list[GroupElement], span: set[GroupElement],
-            sq_span: set[GroupElement], start: int):
+    def rec(chosen: list[GroupElement], span: Span, sq_span: Span, start: int):
         if len(chosen) == picks:
             yield tuple(chosen), span
             return
@@ -319,12 +277,15 @@ def _abelian_extensions(group: CodeGroup, base_span: set[GroupElement], picks: i
                 continue
             if any(commutator(c, d) != ident for d in chosen):
                 continue
-            new_sq = _extend_span(sq_span, square(c))
+            new_sq = sq_span.copy()
+            new_sq.add(square(c))
             if avoid_u_square and u in new_sq:
                 continue
-            yield from rec(chosen + [c], _extend_span(span, c), new_sq, i + 1)
+            new_span = span.copy()
+            new_span.add(c)
+            yield from rec(chosen + [c], new_span, new_sq, i + 1)
 
-    yield from rec([], set(base_span), {ident}, 0)
+    yield from rec([], base_span, Span(space), 0)
 
 
 def _first(candidates: Iterable[GroupElement], cond) -> GroupElement | None:
@@ -338,14 +299,14 @@ def _greedy_square_independent(pool: Sequence[GroupElement], space: AmbientSpace
                                count: int, seeded: Iterable[GroupElement]) -> list[GroupElement]:
     """Pick `count` order-four elements whose squares are independent of the
     seeded torsion span (and of each other)."""
-    sq_span = _gf2_span(space, seeded)
+    sq_span = Span(space, seeded)
     picked: list[GroupElement] = []
     for c in pool:
         if len(picked) == count:
             break
         if order(c) == 4 and square(c) not in sq_span:
             picked.append(c)
-            sq_span = _extend_span(sq_span, square(c))
+            sq_span.add(square(c))
     if len(picked) != count:
         raise StructureError(
             f"could not select {count} order-four generators with independent squares")
@@ -365,10 +326,9 @@ def standardize(group: CodeGroup) -> StructureReport:
     m = group.log2_order - 1
     delta = z_group.log2_order - sigma
     rho = m + 1 - sigma - delta
-    shape = classify_shape(group)
+    shape = _classify(group, t_group, z_group)
     upsilon = SHAPES[shape].upsilon
     tau = m + 1 - sigma - upsilon
-    z_set = set(z_group.elements)
 
     if shape in ("1", "1*"):
         order4 = [c for c in group.elements if order(c) == 4]
@@ -380,17 +340,18 @@ def standardize(group: CodeGroup) -> StructureReport:
             rs.append(r1)
         rs.extend(_greedy_square_independent(
             order4, space, tau - len(rs), [square(c) for c in rs]))
-        a_set = set(group.elements)
+        a_sorted = group.elements
         ss: tuple[GroupElement, ...] = ()
     else:
         picks = tau - delta
         if picks < 0:
             raise StructureError(f"impossible layer sizes: tau={tau}, delta={delta}")
         found = None
-        for chosen, a_set in _abelian_extensions(
-                group, z_set, picks, avoid_u_square=shape in ("3", "4")):
-            a_sorted = sorted(a_set, key=render_element)
-            outside = [c for c in group.elements if c not in a_set]
+        for chosen, a_span in _abelian_extensions(
+                group, Span(space, z_group.generators), picks,
+                avoid_u_square=shape in ("3", "4")):
+            a_sorted = [c for c in group.elements if c in a_span]
+            outside = [c for c in group.elements if c not in a_span]
             if shape == "2":
                 found = _witness_shape2(group, a_sorted, outside, u, tau)
             elif shape == "3":
@@ -400,7 +361,7 @@ def standardize(group: CodeGroup) -> StructureReport:
             elif shape == "4*":
                 found = _witness_shape4star(z_group, chosen, outside, ident, u, tau)
             else:
-                found = _witness_shape5(chosen, a_set, outside, ident, u, tau)
+                found = _witness_shape5(chosen, a_span, outside, ident, u, tau)
             if found is not None:
                 break
         if found is None:
@@ -411,10 +372,11 @@ def standardize(group: CodeGroup) -> StructureReport:
     tau_bar = tau - 1 if rs and square(rs[0]) == u else tau
     profile = CodeProfile(m=m, sigma=sigma, tau=tau, tau_bar=tau_bar,
                           upsilon=upsilon, delta=delta, rho=rho)
-    a_group = _subgroup(space, tuple(t_group.generators) + tuple(rs), a_set)
+    a_group = CodeGroup(space, tuple(t_group.generators) + tuple(rs), a_sorted)
     if tau_bar < tau:
-        r_span = _gf2_span(space, list(t_group.elements) + list(rs[1:]))
-        r_group = _subgroup(space, tuple(t_group.generators) + tuple(rs[1:]), r_span)
+        r_gens = tuple(t_group.generators) + tuple(rs[1:])
+        r_span = Span(space, r_gens)
+        r_group = CodeGroup(space, r_gens, [c for c in a_sorted if c in r_span])
     else:
         r_group = a_group
     std = StandardGenerators(x=tuple(t_group.generators), r=tuple(rs), s=tuple(ss))
@@ -476,7 +438,7 @@ def _witness_shape4star(z_group, chosen, outside, ident, u, tau):
     return [r1, c1], (s1,)
 
 
-def _witness_shape5(chosen, a_set, outside, ident, u, tau):
+def _witness_shape5(chosen, a_span, outside, ident, u, tau):
     if tau != 2 or len(chosen) != 2:
         raise StructureError(f"shape 5 needs tau = 2, got tau={tau}")
     v, w = chosen
@@ -490,7 +452,8 @@ def _witness_shape5(chosen, a_set, outside, ident, u, tau):
                 and commutator(r2, c) == r2sq)
     if s1 is None:
         return None
-    extended = _extend_span(a_set, s1)
+    extended = a_span.copy()
+    extended.add(s1)
     s2 = _first(outside, lambda c: c not in extended and square(c) == r2sq
                 and commutator(s1, c) == ident and commutator(r1, c) == r2sq
                 and commutator(r2, c) == r2sq)
@@ -517,20 +480,20 @@ def _validate_report(group: CodeGroup, report: StructureReport) -> None:
     std = report.std_gens
     prof = report.profile
 
-    regenerated = closure(std.all_generators(), space)
-    if not regenerated.same_elements(group):
-        raise StructureError("standard generators span a different group")
-    t_span = _gf2_span(space, std.x)
-    if t_span != set(report.torsion.elements):
+    span = Span(space, std.x)
+    if len(span) != len(report.torsion) or any(c not in report.torsion for c in std.x):
         raise StructureError("x generators do not span the torsion subgroup")
+    for c in std.r + std.s:
+        span.add(c)
+    if len(span) != len(group) or any(c not in group for c in std.all_generators()):
+        raise StructureError("standard generators span a different group")
     for r1, r2 in combinations(std.r, 2):
         if commutator(r1, r2) != ident:
             raise StructureError("r generators do not commute")
-    r_squares = _gf2_span(space, [square(c) for c in std.r])
-    if u in r_squares:
+    if u in Span(space, [square(c) for c in std.r]):
         if not std.r or square(std.r[0]) != u:
             raise StructureError("u is spanned by r squares but r1^2 != u")
-        if u in _gf2_span(space, [square(c) for c in std.r[1:]]):
+        if u in Span(space, [square(c) for c in std.r[1:]]):
             raise StructureError("u is spanned by the squares of r2..r_tau")
     if prof.upsilon == 2:
         s1, s2 = std.s

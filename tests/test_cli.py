@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import z2z4q8.code
 from z2z4q8.cli import (
     EXIT_INFEASIBLE,
     EXIT_NOT_ALLOWABLE,
@@ -204,6 +205,35 @@ def test_exit_verify_on_non_hadamard_classify(tmp_path, capsys):
     bad.write_text("space 2 0 0\n1 0 |  | \n")
     assert main(["classify", "--in", str(bad)]) == EXIT_VERIFY
     capsys.readouterr()
+
+
+def test_exit_verify_on_oracle_mismatch(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "code.gens"
+    assert main(["construct", "--m", "4", "--k", "2", "--r", "7",
+                 "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    span_rank = z2z4q8.code.rank_by_span_group
+    monkeypatch.setattr(z2z4q8.code, "rank_by_span_group",
+                        lambda group: span_rank(group) + 1)
+    assert main(["measure", "--in", str(out)]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rank oracles disagree" in err
+
+
+def test_oversized_input_stops_at_hadamard_size(tmp_path, capsys):
+    # a and b in each of four Q8 coordinates generate all 8^4 = 4096
+    # elements; a Hadamard code of length 16 has 32.
+    big = tmp_path / "big.gens"
+    rows = [" ".join(q if j == i else "1" for j in range(4))
+            for i in range(4) for q in ("a", "b")]
+    big.write_text("space 0 0 4\n" + "".join(f"|  | {row}\n" for row in rows))
+    for command in ("classify", "measure"):
+        assert main([command, "--in", str(big)]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert "cap of 32 elements" in captured.err, command
+        assert "4096" not in captured.out + captured.err, command
+    assert main(["verify", "--in", str(big)]) == EXIT_VERIFY
+    assert "hadamard=fail" in capsys.readouterr().out
 
 
 def test_dial_requires_shape(capsys):

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2z4q8.algebra import AmbientSpace, BinaryWord, gray, render_element
+from z2z4q8.algebra import AmbientSpace, BinaryWord, gray, inverse, mul, render_element
 from z2z4q8.code import (
     BinaryCode,
     ClosureSizeError,
     ParseError,
+    Span,
     closure,
     export_binary,
     generators_text,
@@ -68,6 +69,72 @@ def test_closure_rejects_mixed_spaces():
     with pytest.raises(ValueError):
         closure([AmbientSpace(0, 0, 1).element(q8=("a",)),
                  AmbientSpace(0, 1, 0).element(z4=(1,))])
+
+
+def _worklist_closure(generators, space):
+    """Reference enumerator: multiply every reached element by every generator."""
+    seen = {space.identity()}
+    work = [space.identity()]
+    while work:
+        x = work.pop()
+        for g in generators:
+            y = mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                work.append(y)
+    return seen
+
+
+SPAN_SPACES = [AmbientSpace(0, 0, 2), AmbientSpace(0, 0, 3),
+               AmbientSpace(1, 1, 2), AmbientSpace(2, 2, 1)]
+
+
+@st.composite
+def _generator_lists(draw):
+    space = draw(st.sampled_from(SPAN_SPACES))
+    element = st.builds(
+        lambda z2, z4, q8: space.element(z2=z2, z4=z4, q8=q8),
+        st.tuples(*[st.integers(0, 1)] * space.k1),
+        st.tuples(*[st.integers(0, 3)] * space.k2),
+        st.tuples(*[st.integers(0, 7)] * space.k3))
+    return space, draw(st.lists(element, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists(), st.integers(1, 600))
+def test_span_matches_worklist_closure(case, cap):
+    space, gens = case
+    expected_gens, reached = [], {space.identity()}
+    for g in gens:
+        if g not in reached:
+            expected_gens.append(g)
+            reached = _worklist_closure(expected_gens, space)
+    if len(reached) > cap:
+        with pytest.raises(ClosureSizeError):
+            Span(space, gens, cap)
+        return
+    span = Span(space, gens, cap)
+    assert span.members == reached
+    assert len(span) == len(reached)  # no element listed twice
+    assert len(span) & (len(span) - 1) == 0
+    assert span.generators == expected_gens
+
+
+def test_span_extends_by_non_normalizing_elements():
+    space = AmbientSpace(0, 0, 2)
+    for first, second in ((("a", "b"), ("b", "1")), (("a", "a"), ("b", "a"))):
+        h, g = space.element(q8=first), space.element(q8=second)
+        span = Span(space, [h])
+        assert mul(mul(g, h), inverse(g)) not in span  # g does not normalize <h>
+        twin = span.copy()
+        twin.add(g)
+        assert len(span) == 4 and g not in span
+        assert twin.members == _worklist_closure([h, g], space)
+        assert len(twin) == 16 and twin.generators == [h, g]
+    # There the product set <h><g> has only 8 elements: extending a span by
+    # the powers of g alone is wrong when g does not normalize it.
+    assert len({mul(x, y) for x in Span(space, [h]).elements
+                for y in Span(space, [g]).elements}) == 8
 
 
 def test_codegroup_membership(sample_codes):

@@ -334,3 +334,14 @@ def test_construct_for_total_behavior(m, k, r):
     else:
         mes = measure(group, report)
         assert (mes.k, mes.r) == (k, r)
+
+
+@pytest.mark.xfail(strict=True, raises=ConstructionError,
+                   reason="known gap: at m=8 the shape-2 (sigma=4, tau=4) dials with one "
+                          "ab-type value per component class reach only (4,13..16) and "
+                          "(6,12), not the case-4c pair (4,12)")
+def test_construct_for_m8_k4_r12_gap():
+    assert all_allowable_pairs(8)[(4, 12)] == ("2", 4, 4)
+    group, report = construct_for(8, 4, 12)
+    mes = measure(group, report)
+    assert (mes.k, mes.r) == (4, 12)

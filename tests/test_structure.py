@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+import z2z4q8.structure
 from z2z4q8.algebra import AmbientSpace, commutator, order
 from z2z4q8.code import BinaryCode, closure, is_hadamard, rank_kernel_report
 from z2z4q8.construct import BaseHadamardSpec, base_hadamard, lift_to_A
@@ -84,6 +85,18 @@ def test_torsion_and_center_single_q8():
     z = center(q8)
     assert {x.q8[0] for x in t.elements} == {0, 2}
     assert t.same_elements(z)
+
+
+def test_standardize_scans_torsion_and_center_once(monkeypatch):
+    calls = []
+    for name in ("torsion", "center"):
+        scan = getattr(z2z4q8.structure, name)
+        monkeypatch.setattr(z2z4q8.structure, name,
+                            lambda group, scan=scan: calls.append(scan.__name__) or scan(group))
+    group = build_reference_code(REFERENCE_FAMILY_B.codes[2])
+    report = standardize(group)
+    assert sorted(calls) == ["center", "torsion"]
+    assert report.shape == classify_shape(group)
 
 
 def _layer_sizes(group):
