@@ -12,7 +12,6 @@ import argparse
 from pathlib import Path
 
 from z2z4q8.code import (
-    BinaryCode,
     generators_text,
     is_hadamard,
     kernel_bruteforce,
@@ -44,7 +43,7 @@ def main() -> int:
             group = build_reference_code(ref)
             report = standardize(group)
             mes = measure(group, report)
-            code = BinaryCode.from_group(group)
+            code = group.gray_image
             checks = (
                 bool(is_hadamard(code))
                 and report.shape == family.shape

@@ -13,7 +13,7 @@ import argparse
 import time
 from pathlib import Path
 
-from z2z4q8.code import BinaryCode, generators_text, is_hadamard
+from z2z4q8.code import generators_text, is_hadamard
 from z2z4q8.construct import ConstructionError, all_allowable_pairs, construct_for
 from z2z4q8.structure import measure
 
@@ -46,7 +46,7 @@ def main() -> int:
                 print(f"m={m} k={k} r={r} FAILED: {exc}")
                 continue
             mes = measure(group, report)
-            ok = bool(is_hadamard(BinaryCode.from_group(group)))
+            ok = bool(is_hadamard(group.gray_image))
             seconds = time.monotonic() - start
             status = "ok" if ok and (mes.k, mes.r) == (k, r) else "MISMATCH"
             print(f"m={m} k={k} r={r} shape={report.shape} case={mes.case} "

@@ -39,6 +39,7 @@ from .code import (
     is_hadamard,
     kernel_bruteforce,
     kernel_by_swappers,
+    log2_order,
     rank_by_span_group,
     rank_gf2,
     rank_kernel_report,

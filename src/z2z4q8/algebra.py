@@ -27,6 +27,8 @@ __all__ = [
     "gray",
     "commutator",
     "swapper",
+    "frattini_image",
+    "frattini_coordinate",
     "m_set",
     "render_element",
     "parse_element",
@@ -94,6 +96,16 @@ def _comm_q8(x: int, y: int) -> int:
 SWAP_Z4 = tuple(tuple(_swap_z4(x, y) for y in range(4)) for x in range(4))
 SWAP_Q8 = tuple(tuple(_swap_q8(x, y) for y in range(8)) for x in range(8))
 COMM_Q8 = tuple(tuple(_comm_q8(x, y) for y in range(8)) for x in range(8))
+
+# The Frattini subgroup Phi = G^2 of G = Z2^k1 x Z4^k2 x Q8^k3 is
+# 1^k1 x {0,2}^k2 x {1,a2}^k3: elementary abelian, central, and it holds
+# every commutator, so G has class 2.  G/Phi is GF(2)^(k1+k2+2k3) and Phi is
+# GF(2)^(k2+k3); frattini_image and frattini_coordinate pack those vectors
+# into ints.  Modulo Phi, a Z2 entry v is v, a Z4 entry v is v & 1, and a Q8
+# entry a^i b^j is the pair (i & 1, j).  In Phi, the Z4 entries 0, 2 and the
+# Q8 entries 1, a2 (indices 0, 2) are the bits 0, 1.
+Q8_MOD_PHI = tuple(((x & 1) << 1) | (x >> 2) for x in range(8))
+PHI_BIT = {0: 0, 2: 1}
 
 
 @dataclass(frozen=True)
@@ -174,7 +186,7 @@ class BinaryWord:
         return BinaryWord(self.n, self.bits ^ other.bits)
 
     def weight(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     def __str__(self) -> str:
         return format(self.bits, f"0{self.n}b") if self.n else ""
@@ -266,6 +278,28 @@ def swapper(x: GroupElement, y: GroupElement) -> GroupElement:
         tuple(SWAP_Z4[p][q] for p, q in zip(x.z4, y.z4)),
         tuple(SWAP_Q8[p][q] for p, q in zip(x.q8, y.q8)),
     )
+
+
+def frattini_image(x: GroupElement) -> int:
+    """x modulo Phi, packed: one bit per Z2 or Z4 entry, two per Q8 entry."""
+    acc = 0
+    for v in x.z2:
+        acc = (acc << 1) | v
+    for v in x.z4:
+        acc = (acc << 1) | (v & 1)
+    for v in x.q8:
+        acc = (acc << 2) | Q8_MOD_PHI[v]
+    return acc
+
+
+def frattini_coordinate(x: GroupElement) -> int:
+    """Coordinates of x in Phi, packed: one bit per Z4 or Q8 entry.  x must
+    lie in Phi; its Z2 block is not read, and any other entry outside Phi
+    raises KeyError."""
+    acc = 0
+    for v in x.z4 + x.q8:
+        acc = (acc << 1) | PHI_BIT[v]
+    return acc
 
 
 def m_set(x: GroupElement) -> set[int]:

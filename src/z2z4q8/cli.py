@@ -22,6 +22,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .algebra import AmbientSpace, GroupElement
 from .code import (
     DEFAULT_CLOSURE_CAP,
     BinaryCode,
@@ -35,9 +36,11 @@ from .code import (
     is_hadamard,
     kernel_bruteforce,
     kernel_by_swappers,
+    log2_order,
     rank_by_span_group,
     rank_gf2,
     read_generators,
+    size_check,
 )
 from .construct import (
     CONSTRUCTIBLE_SHAPES,
@@ -75,19 +78,23 @@ def _write_or_print(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text)
 
 
-def _load_group(path: str, hadamard_only: bool = False) -> CodeGroup:
-    """Read and close a generator file.  Commands that accept only Hadamard
-    codes cap the closure at the 2n codewords such a code has."""
+def _read_file(path: str) -> tuple[AmbientSpace, list[GroupElement]]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    space, gens = read_generators(text)
+    return read_generators(text)
+
+
+def _load_group(path: str, hadamard_only: bool = False) -> CodeGroup:
+    """Read and close a generator file.  Commands that accept only Hadamard
+    codes cap the closure at the 2n codewords such a code has."""
+    space, gens = _read_file(path)
     return closure(gens, space, 2 * space.n if hadamard_only else DEFAULT_CLOSURE_CAP)
 
 
 def _require_hadamard(group: CodeGroup) -> None:
-    verdict = is_hadamard(BinaryCode.from_group(group))
+    verdict = is_hadamard(group.gray_image)
     if not verdict:
         raise StructureError(f"input is not a Hadamard code: {verdict.diagnosis}")
 
@@ -136,7 +143,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    group = _load_group(args.input_path)
+    space, gens = _read_file(args.input_path)
     lines: list[str] = []
     failures: list[str] = []
 
@@ -145,8 +152,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not ok:
             failures.append(f"{name}: {detail}" if detail else name)
 
-    code = BinaryCode.from_group(group)
-    verdict = is_hadamard(code)
+    # Size the group before listing it: an untrusted file may generate far
+    # more than the 2n elements of a Hadamard code.
+    verdict = size_check(space.n, 1 << log2_order(gens))
+    if verdict:
+        group = closure(gens, space)
+        code = group.gray_image
+        verdict = is_hadamard(code)
     record("hadamard", bool(verdict), verdict.diagnosis)
     if verdict:
         report = standardize(group)

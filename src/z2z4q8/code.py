@@ -1,8 +1,10 @@
 """Subgroup enumeration, Gray-image codes, Hadamard checks, rank and kernel.
 
-Every subgroup is enumerated coset by coset (Span, Dimino's algorithm):
-the code group itself, the subgroups the structure module scans, and the
-span group behind the group-side rank oracle.
+Every subgroup the package lists is enumerated coset by coset (Span,
+Dimino's algorithm): the code group itself and the subgroups the structure
+module scans.  Orders alone come from log2_order, which enumerates nothing:
+it works modulo the Frattini subgroup, so the span group behind the
+group-side rank oracle, 2^r elements, is never listed.
 
 Rank and kernel are each computed by two independent routes (plain GF(2)
 linear algebra on the binary codewords vs. group-theoretic criteria via
@@ -15,16 +17,21 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .algebra import (
     AmbientSpace,
     BinaryWord,
     GroupElement,
+    commutator,
+    frattini_coordinate,
+    frattini_image,
     gray,
     mul,
     parse_element,
     render_element,
+    square,
     swapper,
 )
 
@@ -38,6 +45,8 @@ __all__ = [
     "ParseError",
     "Span",
     "closure",
+    "log2_order",
+    "size_check",
     "is_hadamard",
     "kernel_bruteforce",
     "kernel_by_swappers",
@@ -135,6 +144,11 @@ class CodeGroup:
     def same_elements(self, other: "CodeGroup") -> bool:
         return self._member_set == other._member_set
 
+    @cached_property
+    def gray_image(self) -> "BinaryCode":
+        """The Gray image, built on first use and shared by every check."""
+        return BinaryCode.from_group(self)
+
 
 class Span:
     """A subgroup grown one generator at a time, enumerated coset by coset.
@@ -205,6 +219,40 @@ def closure(
     return CodeGroup(space, generators, sorted(span.elements, key=render_element))
 
 
+def log2_order(generators: Iterable[GroupElement]) -> int:
+    """log2 of the order of the subgroup H the elements generate, found
+    without listing H.
+
+    The ambient group has class 2 and its Frattini subgroup Phi is central
+    and elementary abelian (see algebra), so |H| = |H Phi / Phi| * |H cap Phi|.
+    Each generator is reduced modulo Phi against an echelon basis B whose
+    members are the reduced products, so B lies in H and gives the first
+    factor.  Collecting any word in B leaves a product of distinct members
+    of B times squares and commutators of members, all in Phi; so H cap Phi
+    is spanned by those and the residues of generators that reduced into
+    Phi, and its dimension is one GF(2) rank.
+    """
+    basis: dict[int, tuple[int, GroupElement]] = {}  # pivot -> (image, member)
+    rows: list[int] = []
+    for g in generators:
+        image = frattini_image(g)
+        while image:
+            pivot = image.bit_length()
+            if pivot not in basis:
+                basis[pivot] = (image, g)
+                break
+            b_image, b = basis[pivot]
+            g = mul(g, b)
+            image ^= b_image
+        else:
+            rows.append(frattini_coordinate(g))
+    members = [b for _, b in basis.values()]
+    rows += [frattini_coordinate(square(b)) for b in members]
+    rows += [frattini_coordinate(commutator(b, c))
+             for i, b in enumerate(members) for c in members[i + 1:]]
+    return len(members) + gf2_rank(rows)
+
+
 ### Binary codes #############################################################
 
 
@@ -246,6 +294,13 @@ class BinaryCode:
         return bits in self._int_set
 
 
+def size_check(n: int, size: int) -> HadamardCheck:
+    """The first clause of is_hadamard: length n needs 2n codewords."""
+    if size != 2 * n:
+        return HadamardCheck(False, f"size: expected {2 * n} codewords, got {size}")
+    return HadamardCheck(True)
+
+
 def is_hadamard(code: BinaryCode) -> HadamardCheck:
     """Full Hadamard-code check with a named first-failure diagnosis.
 
@@ -255,20 +310,21 @@ def is_hadamard(code: BinaryCode) -> HadamardCheck:
     n = code.n
     half = n // 2
     full = (1 << n) - 1
-    if len(code) != 2 * n:
-        return HadamardCheck(False, f"size: expected {2 * n} codewords, got {len(code)}")
+    size = size_check(n, len(code))
+    if not size:
+        return size
     if not code.contains_bits(0):
         return HadamardCheck(False, "all-zeros word missing")
     if not code.contains_bits(full):
         return HadamardCheck(False, "all-ones word missing")
     for bits in code.word_ints:
-        w = bin(bits).count("1")
+        w = bits.bit_count()
         if w not in (0, half, n):
             return HadamardCheck(False, f"word of weight {w} (allowed 0, {half}, {n})")
     ints = code.word_ints
     for i, wi in enumerate(ints):
         for wj in ints[i + 1 :]:
-            d = bin(wi ^ wj).count("1")
+            d = (wi ^ wj).bit_count()
             if d != half and d != n:
                 return HadamardCheck(False, f"pair at distance {d} (allowed {half}, {n})")
     return HadamardCheck(True)
@@ -308,7 +364,7 @@ def rank_gf2(code: BinaryCode) -> int:
     return gf2_rank(code.word_ints)
 
 
-def rank_by_span_group(group: CodeGroup, cap: int = DEFAULT_CLOSURE_CAP) -> int:
+def rank_by_span_group(group: CodeGroup) -> int:
     """log2 of the subgroup generated by the code group and all pairwise
     swappers of its generators; its Gray image is the linear span."""
     extra = [
@@ -316,8 +372,7 @@ def rank_by_span_group(group: CodeGroup, cap: int = DEFAULT_CLOSURE_CAP) -> int:
         for i, gi in enumerate(group.generators)
         for gj in group.generators[i + 1 :]
     ]
-    span = Span(group.space, tuple(group.generators) + tuple(extra), cap)
-    return len(span).bit_length() - 1
+    return log2_order(group.generators + tuple(extra))
 
 
 @dataclass(frozen=True)
@@ -333,7 +388,7 @@ class RankKernelReport:
 
 def rank_kernel_report(group: CodeGroup) -> RankKernelReport:
     """Compute rank and kernel by both routes and cross-check them."""
-    code = BinaryCode.from_group(group)
+    code = group.gray_image
     kernel_set = kernel_bruteforce(code)
     kernel_other = kernel_by_swappers(group)
     if kernel_set != kernel_other:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .algebra import AmbientSpace, GroupElement, order, render_element, square
-from .code import BinaryCode, CodeGroup, ParseError, closure, is_hadamard
+from .code import CodeGroup, ParseError, closure, is_hadamard
 from .structure import (
     SHAPES,
     StructureReport,
@@ -145,7 +145,7 @@ def base_hadamard(spec: BaseHadamardSpec) -> CodeGroup:
     if len(group) != 2 ** (gamma + 2 * delta):
         raise ConstructionError(
             f"base of type 2^{gamma} 4^{delta} closed into {len(group)} elements")
-    verdict = is_hadamard(BinaryCode.from_group(group))
+    verdict = is_hadamard(group.gray_image)
     if not verdict:
         raise ConstructionError(f"base code is not Hadamard: {verdict.diagnosis}")
     return group
@@ -436,7 +436,7 @@ def build_from_plan(plan: ConstructionPlan) -> tuple[CodeGroup, StructureReport]
         a_group = lift_to_A(base, plan.shape)
         s_gens = build_s_generators(a_group, plan)
         group = closure(tuple(a_group.generators) + tuple(s_gens), a_group.space)
-    verdict = is_hadamard(BinaryCode.from_group(group))
+    verdict = is_hadamard(group.gray_image)
     if not verdict:
         raise ConstructionError(f"construction is not Hadamard: {verdict.diagnosis}")
     report = standardize(group)

@@ -24,6 +24,7 @@ from z2z4q8.algebra import (
 )
 from z2z4q8.code import (
     BinaryCode,
+    Span,
     closure,
     generators_text,
     is_hadamard,
@@ -245,6 +246,25 @@ def test_criterion_5_oracle_equivalence_on_all_codes(corpus):
     assert elapsed < 30.0
     print(f"criterion 5 PASS: kernel and rank oracles agree on {count} codes "
           f"({elapsed:.2f}s)")
+
+
+def _rank_by_enumeration(group):
+    """Reference for rank_by_span_group: list all 2^r elements of the span
+    group and take log2 of their number."""
+    swappers = tuple(swapper(gi, gj)
+                     for i, gi in enumerate(group.generators)
+                     for gj in group.generators[i + 1:])
+    return len(Span(group.space, group.generators + swappers)).bit_length() - 1
+
+
+def test_rank_by_span_group_matches_enumeration(corpus):
+    checked = 0
+    for label, group, _ in corpus.all_codes():
+        r = rank_gf2(group.gray_image)
+        if r <= 14:
+            assert rank_by_span_group(group) == _rank_by_enumeration(group) == r, label
+            checked += 1
+    assert checked == len(list(corpus.all_codes())) == 36
 
 
 ### Criterion 6: coverage sweep over every shape and allowable pair ##########

@@ -15,6 +15,8 @@ from z2z4q8.algebra import (
     BinaryWord,
     commutator,
     elements_of,
+    frattini_coordinate,
+    frattini_image,
     gray,
     inverse,
     m_set,
@@ -278,6 +280,45 @@ def test_swapper_lands_in_torsion(a, b):
 @given(_mixed_elements(MIXED_SPACE), _mixed_elements(MIXED_SPACE))
 def test_gray_additivity_defect_is_the_swapper(a, b):
     assert gray(mul(mul(swapper(a, b), a), b)) == gray(a) ^ gray(b)
+
+
+### Frattini quotient ########################################################
+
+# Q8 value -> its image modulo Phi, the pair (i & 1, j) of a^i b^j.
+Q8_MOD_PHI_EXPECTED = {"1": (0, 0), "a": (1, 0), "a2": (0, 0), "a3": (1, 0),
+                       "b": (0, 1), "ab": (1, 1), "a2b": (0, 1), "a3b": (1, 1)}
+
+
+def test_frattini_encodings_exact():
+    for name, (i, j) in Q8_MOD_PHI_EXPECTED.items():
+        assert frattini_image(_q8(name)) == 2 * i + j, name
+    assert [frattini_image(_z4(v)) for v in range(4)] == [0, 1, 0, 1]
+    z2 = AmbientSpace(1, 0, 0)
+    assert [frattini_image(z2.element(z2=(v,))) for v in (0, 1)] == [0, 1]
+    assert [frattini_coordinate(x) for x in (_q8("1"), _q8("a2"), _z4(0), _z4(2))] \
+        == [0, 1, 0, 1]
+    for x in (_q8("a"), _q8("b"), _z4(1), _z4(3)):
+        with pytest.raises(KeyError):
+            frattini_coordinate(x)
+    # Packing order: Z2 block, Z4 block, then two bits per Q8 entry.
+    x = MIXED_SPACE.element(z2=(1, 0), z4=(0, 3), q8=("a2", "b"))
+    assert frattini_image(x) == 0b10_01_00_01
+    assert frattini_coordinate(square(x)) == 0b01_01  # Z4 (0, 2), Q8 (1, a2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_elements(MIXED_SPACE), _mixed_elements(MIXED_SPACE),
+       _mixed_elements(MIXED_SPACE))
+def test_frattini_class_two_facts(a, b, c):
+    # Modulo Phi the group is GF(2)^n: the image is a homomorphism and
+    # kills squares and commutators.
+    assert frattini_image(mul(a, b)) == frattini_image(a) ^ frattini_image(b)
+    assert frattini_image(square(a)) == 0 == frattini_image(commutator(a, b))
+    # Phi is central and elementary abelian, with coordinates added as bits.
+    for z in (square(a), commutator(a, b)):
+        assert mul(z, c) == mul(c, z) and square(z) == MIXED_SPACE.identity()
+    assert frattini_coordinate(mul(square(a), commutator(b, c))) \
+        == frattini_coordinate(square(a)) ^ frattini_coordinate(commutator(b, c))
 
 
 ### M-sets, rendering, words #################################################

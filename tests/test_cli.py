@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import z2z4q8.cli
 import z2z4q8.code
 from z2z4q8.cli import (
     EXIT_INFEASIBLE,
@@ -234,6 +235,24 @@ def test_oversized_input_stops_at_hadamard_size(tmp_path, capsys):
         assert "4096" not in captured.out + captured.err, command
     assert main(["verify", "--in", str(big)]) == EXIT_VERIFY
     assert "hadamard=fail" in capsys.readouterr().out
+
+
+def test_verify_sizes_input_before_listing_it(tmp_path, capsys, monkeypatch):
+    # a and b in each of k Q8 coordinates generate all 8^k elements; the
+    # order is known before any element is listed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify listed an oversized group")
+
+    monkeypatch.setattr(z2z4q8.cli, "closure", refuse)
+    for k in (5, 7):
+        big = tmp_path / f"q8-{k}.gens"
+        rows = [" ".join(q if j == i else "1" for j in range(k))
+                for i in range(k) for q in ("a", "b")]
+        big.write_text(f"space 0 0 {k}\n" + "".join(f"|  | {row}\n" for row in rows))
+        assert main(["verify", "--in", str(big)]) == EXIT_VERIFY
+        assert capsys.readouterr().out == (
+            f"hadamard=fail\nverdict=fail\ndiagnosis: hadamard: size: expected "
+            f"{8 * k} codewords, got {8 ** k}\n"), k
 
 
 def test_dial_requires_shape(capsys):

@@ -18,6 +18,7 @@ from z2z4q8.code import (
     is_hadamard,
     kernel_bruteforce,
     kernel_by_swappers,
+    log2_order,
     rank_by_span_group,
     rank_gf2,
     rank_kernel_report,
@@ -90,14 +91,14 @@ SPAN_SPACES = [AmbientSpace(0, 0, 2), AmbientSpace(0, 0, 3),
 
 
 @st.composite
-def _generator_lists(draw):
-    space = draw(st.sampled_from(SPAN_SPACES))
+def _generator_lists(draw, spaces=SPAN_SPACES, max_size=5):
+    space = draw(st.sampled_from(spaces))
     element = st.builds(
         lambda z2, z4, q8: space.element(z2=z2, z4=z4, q8=q8),
         st.tuples(*[st.integers(0, 1)] * space.k1),
         st.tuples(*[st.integers(0, 3)] * space.k2),
         st.tuples(*[st.integers(0, 7)] * space.k3))
-    return space, draw(st.lists(element, max_size=5))
+    return space, draw(st.lists(element, max_size=max_size))
 
 
 @settings(max_examples=300, deadline=None)
@@ -135,6 +136,13 @@ def test_span_extends_by_non_normalizing_elements():
     # the powers of g alone is wrong when g does not normalize it.
     assert len({mul(x, y) for x in Span(space, [h]).elements
                 for y in Span(space, [g]).elements}) == 8
+
+
+@settings(max_examples=400, deadline=None)
+@given(_generator_lists(SPAN_SPACES + [AmbientSpace(0, 3, 2)], max_size=6))
+def test_log2_order_matches_span(case):
+    space, gens = case
+    assert 1 << log2_order(gens) == len(Span(space, gens))
 
 
 def test_codegroup_membership(sample_codes):

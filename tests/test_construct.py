@@ -345,3 +345,10 @@ def test_construct_for_m8_k4_r12_gap():
     group, report = construct_for(8, 4, 12)
     mes = measure(group, report)
     assert (mes.k, mes.r) == (4, 12)
+
+
+def test_construct_for_m8_top_rank():
+    # The top rank at m = 8: its span group has 2^16 elements.
+    group, report = construct_for(8, 4, 16)
+    mes = measure(group, report)
+    assert (mes.k, mes.r) == (4, 16)
