@@ -31,6 +31,7 @@ from .algebra import (
     mul,
     parse_element,
     render_element,
+    sort_key,
     square,
     swapper,
 )
@@ -210,13 +211,18 @@ def closure(
     space: AmbientSpace | None = None,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> CodeGroup:
-    """Subgroup generated by the given elements, in canonical order."""
+    """Subgroup generated by the given elements, in canonical order.
+
+    The order is found first, by log2_order, so a group above the cap is
+    refused before any element is listed."""
     if space is None:
         if not generators:
             raise ValueError("need at least one generator or an explicit space")
         space = generators[0].space
+    if 1 << log2_order(generators) > cap:
+        raise ClosureSizeError(f"closure exceeded cap of {cap} elements")
     span = Span(space, generators, cap)
-    return CodeGroup(space, generators, sorted(span.elements, key=render_element))
+    return CodeGroup(space, generators, sorted(span.elements, key=sort_key))
 
 
 def log2_order(generators: Iterable[GroupElement]) -> int:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import Callable
 
-from .algebra import AmbientSpace, GroupElement, order, render_element, square
+from .algebra import AmbientSpace, GroupElement, order, sort_key, square
 from .code import CodeGroup, ParseError, closure, is_hadamard
 from .structure import (
     SHAPES,
@@ -159,18 +160,19 @@ def _lift_element(c: GroupElement, shape: str, target: AmbientSpace,
     """Entrywise image of a base element under the paper's maps: chi1 sends a
     binary x to 2x in Z4, chi2 sends a quaternary x to a^x in Q8 (whose Q8
     index is x itself), and chi3 duplicates a coordinate."""
+    z2, z4 = c.z2, c.z4
     if shape == "2":
-        return target.element(q8=c.z4)
+        return target.element(q8=z4)
     if shape == "3":
-        return target.element(z4=tuple(2 * x for x in c.z2), q8=c.z4)
+        return target.element(z4=tuple(2 * x for x in z2), q8=z4)
     if shape == "4":
-        return target.element(z2=tuple(v for x in c.z2 for v in (x, x)), q8=c.z4)
+        return target.element(z2=tuple(v for x in z2 for v in (x, x)), q8=z4)
     if shape == "4*":
-        z4 = tuple(v for j in half for v in (c.z4[j], c.z4[j]))
-        q8 = tuple(c.z4[j] for j in range(len(c.z4)) if j not in half)
-        return target.element(z4=z4, q8=q8)
+        doubled = tuple(v for j in half for v in (z4[j], z4[j]))
+        q8 = tuple(z4[j] for j in range(len(z4)) if j not in half)
+        return target.element(z4=doubled, q8=q8)
     if shape == "5":
-        return target.element(q8=tuple(v for x in c.z4 for v in (x, x)))
+        return target.element(q8=tuple(v for x in z4 for v in (x, x)))
     raise ConstructionError(f"no lift defined for shape {shape}")
 
 
@@ -197,7 +199,7 @@ def lift_to_A(base: CodeGroup, shape: str) -> CodeGroup:
         target = AmbientSpace(2 * space.k1, 0, space.k2)
     elif shape == "4*":
         v2 = base.generators[1]
-        half = tuple(j for j in range(space.k2) if v2.z4[j] % 2)
+        half = tuple(j for j, x in enumerate(v2.z4) if x % 2)
         if len(half) * 2 != space.k2:
             raise ConstructionError("second order-four row is not odd on half the columns")
         target = AmbientSpace(0, 2 * len(half), space.k2 - len(half))
@@ -207,7 +209,7 @@ def lift_to_A(base: CodeGroup, shape: str) -> CodeGroup:
     if len(set(mapped)) != len(base):
         raise ConstructionError("lift failed to stay injective")
     gens = tuple(_lift_element(g, shape, target, half) for g in base.generators)
-    return CodeGroup(target, gens, sorted(mapped, key=render_element))
+    return CodeGroup(target, gens, sorted(mapped, key=sort_key))
 
 
 ### Allowable (k, r) pairs ###################################################
@@ -427,18 +429,35 @@ def _plan_dial(shape: str, tau: int, tag: str, ranks: range, target_r: int,
                         if not sig & banned))
 
 
-def build_from_plan(plan: ConstructionPlan) -> tuple[CodeGroup, StructureReport]:
-    """Run base -> lift -> outside generators and verify the outcome."""
-    base = base_hadamard(_base_spec_for(plan.shape, plan.sigma, plan.tau))
+def _abelian_part(shape: str, sigma: int, tau: int) -> CodeGroup:
+    """The base code, lifted for the non-abelian shapes: what the planner
+    reads to place the dial and what the builder extends."""
+    base = base_hadamard(_base_spec_for(shape, sigma, tau))
+    return base if shape in ("1", "1*") else lift_to_A(base, shape)
+
+
+def _plan_on(abelian_part: Callable[[], CodeGroup], m: int, shape: str, sigma: int,
+             tau: int, target_k: int, target_r: int) -> ConstructionPlan:
+    """make_plan, reading the abelian part from abelian_part() once the
+    target is known to be allowable (shapes 1 and 1* never read it)."""
+    dial: tuple[int, ...] = ()
+    if shape not in ("1", "1*"):
+        tag, ranks = _target_case(m, shape, sigma, tau, target_k, target_r)
+        dial = _plan_dial(shape, tau, tag, ranks, target_r, abelian_part())
+    return ConstructionPlan(m=m, shape=shape, sigma=sigma, tau=tau,
+                            target_k=target_k, target_r=target_r, dial=dial)
+
+
+def _build_on(a_group: CodeGroup, plan: ConstructionPlan) -> tuple[CodeGroup, StructureReport]:
+    """build_from_plan on the plan's abelian part, built already."""
     if plan.shape in ("1", "1*"):
-        group: CodeGroup = base
+        group = a_group  # the base code, which base_hadamard checked
     else:
-        a_group = lift_to_A(base, plan.shape)
         s_gens = build_s_generators(a_group, plan)
         group = closure(tuple(a_group.generators) + tuple(s_gens), a_group.space)
-    verdict = is_hadamard(group.gray_image)
-    if not verdict:
-        raise ConstructionError(f"construction is not Hadamard: {verdict.diagnosis}")
+        verdict = is_hadamard(group.gray_image)
+        if not verdict:
+            raise ConstructionError(f"construction is not Hadamard: {verdict.diagnosis}")
     report = standardize(group)
     if report.shape != plan.shape:
         raise ConstructionError(
@@ -450,17 +469,16 @@ def build_from_plan(plan: ConstructionPlan) -> tuple[CodeGroup, StructureReport]
     return group, report
 
 
+def build_from_plan(plan: ConstructionPlan) -> tuple[CodeGroup, StructureReport]:
+    """Run base -> lift -> outside generators and verify the outcome."""
+    return _build_on(_abelian_part(plan.shape, plan.sigma, plan.tau), plan)
+
+
 def make_plan(m: int, shape: str, sigma: int, tau: int,
               target_k: int, target_r: int) -> ConstructionPlan:
     """Plan with the dial filled in (builds the abelian part to locate it)."""
-    if shape in ("1", "1*"):
-        dial: tuple[int, ...] = ()
-    else:
-        tag, ranks = _target_case(m, shape, sigma, tau, target_k, target_r)
-        a_group = lift_to_A(base_hadamard(_base_spec_for(shape, sigma, tau)), shape)
-        dial = _plan_dial(shape, tau, tag, ranks, target_r, a_group)
-    return ConstructionPlan(m=m, shape=shape, sigma=sigma, tau=tau,
-                            target_k=target_k, target_r=target_r, dial=dial)
+    return _plan_on(lambda: _abelian_part(shape, sigma, tau),
+                    m, shape, sigma, tau, target_k, target_r)
 
 
 def construct_for(m: int, target_k: int, target_r: int) -> tuple[CodeGroup, StructureReport]:
@@ -469,7 +487,9 @@ def construct_for(m: int, target_k: int, target_r: int) -> tuple[CodeGroup, Stru
     table = all_allowable_pairs(m)
     if (target_k, target_r) in table:
         shape, sigma, tau = table[(target_k, target_r)]
-        return build_from_plan(make_plan(m, shape, sigma, tau, target_k, target_r))
+        a_group = _abelian_part(shape, sigma, tau)
+        plan = _plan_on(lambda: a_group, m, shape, sigma, tau, target_k, target_r)
+        return _build_on(a_group, plan)
     nearest = tuple(sorted(table,
                            key=lambda p: (abs(p[0] - target_k) + abs(p[1] - target_r), p))[:5])
     raise NotAllowableError(

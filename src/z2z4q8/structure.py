@@ -687,7 +687,8 @@ def verify_duplication(report: StructureReport) -> CheckResult:
     # upsilon == 2: quaternion columns pair up and collapse to a Z4 code.
     if space.k1 or space.k2:
         return CheckResult(False, "quadruplication expects a pure Q8 ambient")
-    col_values = [tuple(c.q8[j] for c in a_grp.elements) for j in range(space.k3)]
+    rows = [c.q8 for c in a_grp.elements]
+    col_values = list(zip(*rows))
     unpaired_q: dict[tuple, int] = {}
     keep_q: list[int] = []
     for j, pattern in enumerate(col_values):
@@ -699,11 +700,10 @@ def verify_duplication(report: StructureReport) -> CheckResult:
     if unpaired_q:
         return CheckResult(False,
                            f"Q8 columns {sorted(unpaired_q.values())} have no duplicate partner")
-    if any(any(c.q8[j] > 3 for j in keep_q) for c in a_grp.elements):
+    if any(any(row[j] > 3 for j in keep_q) for row in rows):
         return CheckResult(False, "abelian part has entries outside the a-cycle")
     z4_space = AmbientSpace(0, len(keep_q), 0)
-    z4_words = [gray(z4_space.element(z4=tuple(c.q8[j] for j in keep_q)))
-                for c in a_grp.elements]
+    z4_words = [gray(z4_space.element(z4=tuple(row[j] for j in keep_q))) for row in rows]
     quarter = BinaryCode(2 * len(keep_q), z4_words)
     verdict = is_hadamard(quarter)
     if not verdict:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_algebra import Q8_MUL
 from z2z4q8.algebra import (
-    Q8_MUL,
     AmbientSpace,
     BinaryWord,
     commutator,

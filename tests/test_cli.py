@@ -255,6 +255,24 @@ def test_verify_sizes_input_before_listing_it(tmp_path, capsys, monkeypatch):
             f"{8 * k} codewords, got {8 ** k}\n"), k
 
 
+def test_export_sizes_input_before_listing_it(tmp_path, capsys, monkeypatch):
+    # a and b in each of 7 Q8 coordinates generate 8^7 = 2^21 elements, over
+    # the closure cap of 2^20; the order is known before any is listed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("export listed an oversized group")
+
+    monkeypatch.setattr(z2z4q8.code, "Span", refuse)
+    big = tmp_path / "q8-7.gens"
+    rows = [" ".join(q if j == i else "1" for j in range(7))
+            for i in range(7) for q in ("a", "b")]
+    big.write_text("space 0 0 7\n" + "".join(f"|  | {row}\n" for row in rows))
+    for fmt in ("gens", "binary"):
+        assert main(["export", "--in", str(big), "--format", fmt]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: closure exceeded cap of 1048576 elements\n", fmt
+
+
 def test_dial_requires_shape(capsys):
     with pytest.raises(SystemExit):
         main(["construct", "--m", "5", "--k", "3", "--r", "8", "--dial", "1"])

@@ -347,6 +347,16 @@ def test_construct_for_m8_k4_r12_gap():
     assert (mes.k, mes.r) == (4, 12)
 
 
+@pytest.mark.xfail(strict=True, raises=ConstructionError,
+                   reason="known gap: the case-4c bottom rank base + C(tau-1, 2) at "
+                          "tau >= 4 is measured one too high, as at m=8 (4,12)")
+@pytest.mark.parametrize("m, k, r, sigma, tau",
+                         [(9, 5, 13, 5, 4), (10, 5, 17, 5, 5), (10, 6, 14, 6, 4)])
+def test_construct_for_case_4c_bottom_gaps(m, k, r, sigma, tau):
+    assert all_allowable_pairs(m)[(k, r)] == ("2", sigma, tau)
+    construct_for(m, k, r)
+
+
 def test_construct_for_m8_top_rank():
     # The top rank at m = 8: its span group has 2^16 elements.
     group, report = construct_for(8, 4, 16)
