@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .algebra import AmbientSpace, GroupElement
@@ -219,7 +220,9 @@ def _dial_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad dial list {text!r}") from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (main runs many times in-process)."""
     parser = argparse.ArgumentParser(
         prog="z2z4q8",
         description="Hadamard codes from mixed Z2/Z4/Q8 alphabets: construct, "

@@ -10,7 +10,10 @@ Rank and kernel are each computed by two independent routes (plain GF(2)
 linear algebra on the binary codewords vs. group-theoretic criteria via
 swappers) so that the test suite can cross-check them on every code.
 Binary words are packed ints (see algebra.BinaryWord); GF(2) elimination
-works directly on those ints.
+works directly on those ints.  A binary code is split once into the cosets
+of its kernel (BinaryCode.kernel_cosets); the binary kernel oracle and the
+Hadamard check's pairwise clause both read that split, so no scan over all
+pairs of codewords runs unless the pairwise clause fails.
 """
 
 from __future__ import annotations
@@ -299,6 +302,45 @@ class BinaryCode:
     def contains_bits(self, bits: int) -> bool:
         return bits in self._int_set
 
+    @cached_property
+    def kernel_cosets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(kernel, reps): the words z of C with C + z = C, and one word of
+        each coset of that kernel K in C, both as sorted packed ints.  C is
+        the disjoint union of the r + K, each r being its coset's least word.
+
+        The words are taken in order, each reduced against an echelon basis
+        of the kernel K' found so far (reps then holds the reduced words of
+        C, one per coset of K').  A word that reduces to 0 lies in K'; one
+        that reduces to a coset already known to fail lies outside K, since
+        K' is a subgroup of K.  Any other z is in K iff z + r is in C for
+        every r in reps: C is a union of cosets of K', so those words decide
+        C + z = C.  An accepted z joins the basis and merges the cosets of
+        reps in pairs.  Without 0 in C no word of C is in K (z + z = 0);
+        then every word represents itself.
+        """
+        members = self._int_set
+        if 0 not in members:
+            return (), tuple(sorted(members))
+        basis: list[int] = []  # distinct leading bits, descending
+        reps = set(members)
+        failed: set[int] = set()
+        for z in self.word_ints:
+            for b in basis:
+                z = min(z, z ^ b)
+            if not z or z in failed:
+                continue
+            if all(z ^ r in members for r in reps):
+                basis.append(z)
+                basis.sort(reverse=True)
+                reps = {min(r, r ^ z) for r in reps}
+                failed = {min(f, f ^ z) for f in failed}
+            else:
+                failed.add(z)
+        kernel = [0]
+        for b in basis:
+            kernel += [w ^ b for w in kernel]
+        return tuple(sorted(kernel)), tuple(sorted(reps))
+
 
 def size_check(n: int, size: int) -> HadamardCheck:
     """The first clause of is_hadamard: length n needs 2n codewords."""
@@ -312,6 +354,13 @@ def is_hadamard(code: BinaryCode) -> HadamardCheck:
 
     Both the weight-distribution clause and the pairwise-distance clause are
     verified; they are equivalent for group codes but we do not rely on that.
+    The pairwise clause is decided on the kernel cosets C = U (r_i + K): two
+    words of one coset differ by a nonzero kernel word, a codeword whose
+    weight the weight clause has checked, and two words of cosets i != j
+    differ by a word of r_i + r_j + K.  That is |reps|^2 / 2 * |K| weights
+    instead of |C|^2 / 2 distances, and none for a linear code.  On a
+    failure (or repeated words) the ordered pairwise scan names the first
+    bad pair.
     """
     n = code.n
     half = n // 2
@@ -327,6 +376,32 @@ def is_hadamard(code: BinaryCode) -> HadamardCheck:
         w = bits.bit_count()
         if w not in (0, half, n):
             return HadamardCheck(False, f"word of weight {w} (allowed 0, {half}, {n})")
+    if len(code._int_set) != len(code.word_ints) or not _cosets_apart(code):
+        return _pairwise_scan(code)
+    return HadamardCheck(True)
+
+
+def _cosets_apart(code: BinaryCode) -> bool:
+    """Whether every word of r_i + r_j + K, over pairs of distinct coset
+    representatives, has weight n/2 or n."""
+    kernel, reps = code.kernel_cosets
+    n = code.n
+    half = n // 2
+    for i, ri in enumerate(reps):
+        for rj in reps[i + 1 :]:
+            d = ri ^ rj
+            for z in kernel:
+                w = (d ^ z).bit_count()
+                if w != half and w != n:
+                    return False
+    return True
+
+
+def _pairwise_scan(code: BinaryCode) -> HadamardCheck:
+    """The pairwise clause pair by pair, in word order: names the first pair
+    at a distance other than n/2 or n."""
+    n = code.n
+    half = n // 2
     ints = code.word_ints
     for i, wi in enumerate(ints):
         for wj in ints[i + 1 :]:
@@ -340,14 +415,12 @@ def is_hadamard(code: BinaryCode) -> HadamardCheck:
 
 
 def kernel_bruteforce(code: BinaryCode) -> tuple[BinaryWord, ...]:
-    """All z in C with C + z = C, by direct translation testing.
+    """All z in C with C + z = C, in word order, from the binary words alone
+    (BinaryCode.kernel_cosets).
 
     Searching inside C is enough: 0 is in C, so any kernel word is in C.
     """
-    ints = code.word_ints
-    members = code._int_set
-    kernel = [z for z in ints if all((w ^ z) in members for w in ints)]
-    return tuple(BinaryWord(code.n, z) for z in kernel)
+    return tuple(BinaryWord(code.n, z) for z in code.kernel_cosets[0])
 
 
 def kernel_by_swappers(group: CodeGroup) -> tuple[BinaryWord, ...]:
@@ -401,8 +474,10 @@ def rank_kernel_report(group: CodeGroup) -> RankKernelReport:
         raise OracleMismatch("kernel oracles disagree")
     basis = gf2_basis(w.bits for w in kernel_set)
     k = len(basis)
-    if 1 << k != len(kernel_set):
-        raise OracleMismatch("kernel is not a linear subspace")
+    kernel, reps = code.kernel_cosets  # is_hadamard trusts these cosets
+    rebuilt = {r ^ z for r in reps for z in kernel}
+    if len(reps) << k != len(code) or rebuilt != code._int_set:
+        raise OracleMismatch("kernel cosets do not rebuild the code")
     r = rank_gf2(code)
     r2 = rank_by_span_group(group)
     if r != r2:

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from reference_code import hadamard_diagnosis, kernel_by_translation
 
 from z2z4q8.algebra import (
     AmbientSpace,
+    BinaryWord,
     commutator,
     gray,
     mul,
@@ -57,6 +59,7 @@ from z2z4q8.structure import (
 )
 
 SWEEP_RANGE = range(3, 8)  # lengths 8 .. 128
+SCALE_PAIRS = ((9, 9), (7, 10), (5, 10))  # the m = 8 benchmark pairs
 # Benchmark goldens: the generator file of every sweep code, read only here.
 GOLDEN_GENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "gens"
 
@@ -265,6 +268,35 @@ def test_rank_by_span_group_matches_enumeration(corpus):
             assert rank_by_span_group(group) == _rank_by_enumeration(group) == r, label
             checked += 1
     assert checked == len(list(corpus.all_codes())) == 36
+
+
+def _swap_one_word(words, n):
+    """The sorted words with the largest one of weight n/2 swapped for a
+    word of weight n/2 outside the set (one 1 moved onto a 0)."""
+    members = set(words)
+    w = max(x for x in words if x.bit_count() == n // 2)
+    ones = [b for b in range(n) if w >> b & 1]
+    zeros = [b for b in range(n) if not w >> b & 1]
+    x = next(y for i in ones for j in zeros
+             if (y := w ^ (1 << i) ^ (1 << j)) not in members)
+    return sorted(members - {w} | {x})
+
+
+def test_binary_checks_match_pairwise_references(corpus):
+    codes = [(label, group) for label, group, _ in corpus.all_codes()]
+    codes += [(f"scale m=8 k={k} r={r}", construct_for(8, k, r)[0])
+              for k, r in SCALE_PAIRS]
+    assert len(codes) == 39
+    for label, group in codes:
+        code = group.gray_image
+        words = list(code.word_ints)
+        assert [z.bits for z in kernel_bruteforce(code)] == \
+            kernel_by_translation(words), label
+        assert is_hadamard(code) and hadamard_diagnosis(code.n, words) == "", label
+        swapped = _swap_one_word(words, code.n)
+        verdict = is_hadamard(BinaryCode(code.n, [BinaryWord(code.n, w) for w in swapped]))
+        assert not verdict, label
+        assert verdict.diagnosis == hadamard_diagnosis(code.n, swapped), label
 
 
 ### Criterion 6: coverage sweep over every shape and allowable pair ##########

@@ -16,6 +16,7 @@ from z2z4q8.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VERIFY,
+    build_parser,
     main,
 )
 
@@ -293,3 +294,8 @@ def test_documented_scripts_run():
     assert ref.returncode == 0, ref.stdout + ref.stderr
     assert [line.endswith(" ok") for line in ref.stdout.splitlines()
             if not line.startswith("#")] == [True] * 3
+
+
+def test_parser_is_built_once():
+    # main may run many times in one process; the parser is built once.
+    assert build_parser() is build_parser()

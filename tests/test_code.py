@@ -3,11 +3,14 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_code import hadamard_diagnosis, kernel_by_translation
 
+import z2z4q8.code
 from z2z4q8.algebra import AmbientSpace, BinaryWord, gray, inverse, mul, render_element
 from z2z4q8.code import (
     BinaryCode,
     ClosureSizeError,
+    OracleMismatch,
     ParseError,
     Span,
     closure,
@@ -190,6 +193,126 @@ def test_weight_and_distance_helpers():
     assert w1.weight() == 3
     assert (w1 ^ w2).weight() == 4
     assert (w1 ^ w1).weight() == 0
+
+
+### Kernel cosets and the pairwise clause ###################################
+
+
+def _code(n, words):
+    return BinaryCode(n, [BinaryWord(n, w) for w in words])
+
+
+def _span(basis):
+    words = {0}
+    for b in basis:
+        words |= {w ^ b for w in words}
+    return words
+
+
+# The extended Hamming code [8, 4, 4], a linear Hadamard code of length 8,
+# with the complementary pair 00001111, 11110000 swapped for 00010111,
+# 11101000: still 16 words with 0, the all-ones word and weights 0, 4, 8.
+HAMMING_8 = _span([0b11110000, 0b11001100, 0b10101010, 0b11111111])
+SWAPPED_8 = sorted(HAMMING_8 - {0b00001111, 0b11110000} | {0b00010111, 0b11101000})
+
+
+def test_pair_diagnosis_names_the_first_bad_pair():
+    code = _code(8, SWAPPED_8)
+    assert code.kernel_cosets == ((0, 255), (0, 23, 51, 60, 85, 90, 102, 105))
+    verdict = is_hadamard(code)
+    # 00010111 and 00110011, the first bad pair in word order, are at
+    # distance 2; later pairs such as 00010111, 11001100 are at distance 6.
+    assert not verdict
+    assert verdict.diagnosis == "pair at distance 2 (allowed 4, 8)"
+    assert verdict.diagnosis == hadamard_diagnosis(8, SWAPPED_8)
+    assert is_hadamard(_code(8, sorted(HAMMING_8)))
+    assert _code(8, sorted(HAMMING_8)).kernel_cosets == (tuple(sorted(HAMMING_8)), (0,))
+
+
+class _CountingSet(frozenset):
+    probes = 0
+
+    def __contains__(self, item):
+        type(self).probes += 1
+        return frozenset.__contains__(self, item)
+
+
+def test_kernel_cosets_tests_each_failed_coset_once(monkeypatch):
+    # K = all words below 16 comes first in word order, so it is found
+    # before any other word is tried.  Accepting its four basis words probes
+    # |C| + |C|/2 + |C|/4 + |C|/8 = 2(|C| - |reps|) representatives; each of
+    # the three other cosets is then tried once, at most |reps| probes each.
+    # Trying every word of a failed coset again would take 48 tries.
+    reps = (0, 16, 32, 64)
+    code = _code(8, sorted(k | r for k in range(16) for r in reps))
+    monkeypatch.setattr(_CountingSet, "probes", 0)
+    code._int_set = _CountingSet(code._int_set)
+    kernel, got_reps = code.kernel_cosets
+    assert kernel == tuple(range(16)) and got_reps == reps
+    assert _CountingSet.probes <= 2 * (len(code) - len(reps)) + (len(reps) - 1) * len(reps)
+
+
+HALF_WEIGHT = {n: [w for w in range(1 << n) if w.bit_count() == n // 2] for n in (4, 8, 16)}
+
+
+@st.composite
+def _word_sets(draw):
+    """Sets with 0 of 2n words of length n (or about 2n) of weight n/2:
+    unions of cosets of a random subspace, then perhaps a word swapped for
+    another, so that the set is no union of cosets, or one word of any
+    weight added."""
+    n = draw(st.sampled_from(sorted(HALF_WEIGHT)))
+    full = (1 << n) - 1
+    half = HALF_WEIGHT[n]
+    word = st.sampled_from(half)
+    basis = draw(st.lists(word, max_size=2)) + [full] * draw(st.booleans())
+    kernel = _span(basis)
+    words = set(kernel)
+    shuffled = draw(st.randoms(use_true_random=False)).sample(half, min(4 * n, len(half)))
+    for r in [full] * draw(st.booleans()) + shuffled:
+        if len(words) < 2 * n:
+            words |= {r ^ k for k in kernel}
+    if draw(st.booleans()):
+        swap_in = draw(word)
+        if swap_in not in words:
+            words.discard(draw(st.sampled_from(sorted(words - {0}))))
+            words.add(swap_in)
+    if draw(st.integers(0, 9)) == 0:
+        words.add(draw(st.integers(0, full)))
+    return n, sorted(words)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_word_sets())
+def test_binary_checks_match_pairwise_references(case):
+    n, words = case
+    code = _code(n, words)
+    kernel, reps = code.kernel_cosets
+    assert list(kernel) == [z.bits for z in kernel_bruteforce(code)]
+    assert list(kernel) == kernel_by_translation(words)
+    # C is the disjoint union of the cosets r + K, r the least word of each.
+    assert len(reps) * len(kernel) == len(words)
+    assert {r ^ z for r in reps for z in kernel} == set(words)
+    assert all(r == min(r ^ z for z in kernel) for r in reps)
+    verdict = is_hadamard(code)
+    assert verdict.diagnosis == hadamard_diagnosis(n, words)
+    assert verdict.ok == (verdict.diagnosis == "")
+
+
+def test_rank_kernel_report_checks_the_cosets(monkeypatch):
+    group = build_reference_code(REFERENCE_FAMILY_B.codes[2])
+    code = group.gray_image
+    kernel, reps = code.kernel_cosets
+    code.__dict__["kernel_cosets"] = (kernel, reps[:-1])
+    with pytest.raises(OracleMismatch, match="kernel cosets do not rebuild the code"):
+        rank_kernel_report(group)
+    code.__dict__["kernel_cosets"] = (kernel, reps)
+    assert rank_kernel_report(group).k == 3
+    by_swappers = z2z4q8.code.kernel_by_swappers
+    monkeypatch.setattr(z2z4q8.code, "kernel_by_swappers",
+                        lambda group: by_swappers(group)[:-1])
+    with pytest.raises(OracleMismatch, match="kernel oracles disagree"):
+        rank_kernel_report(group)
 
 
 ### GF(2) helpers ############################################################

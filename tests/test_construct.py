@@ -362,3 +362,13 @@ def test_construct_for_m8_top_rank():
     group, report = construct_for(8, 4, 16)
     mes = measure(group, report)
     assert (mes.k, mes.r) == (4, 16)
+
+
+def test_construct_for_m10_linear():
+    # Length 1024, 2048 codewords, all in the kernel: the Hadamard check
+    # and the binary kernel see one coset and no pairs.
+    group, report = construct_for(10, 11, 11)
+    assert report.shape == "1"
+    mes = measure(group, report)
+    assert (mes.k, mes.r) == (11, 11)
+    assert group.gray_image.kernel_cosets[1] == (0,)
