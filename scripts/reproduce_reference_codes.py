@@ -11,16 +11,9 @@ Example:
 import argparse
 from pathlib import Path
 
-from z2z4q8.code import (
-    generators_text,
-    is_hadamard,
-    kernel_bruteforce,
-    kernel_by_swappers,
-    rank_by_span_group,
-    rank_gf2,
-)
+from z2z4q8.code import OracleMismatch, generators_text, is_hadamard
 from z2z4q8.reference import REFERENCE_FAMILIES, build_reference_code
-from z2z4q8.structure import measure, standardize
+from z2z4q8.structure import StructureError, measure, standardize
 
 
 def main() -> int:
@@ -41,16 +34,20 @@ def main() -> int:
               f"shape {family.shape}, sigma={family.sigma}, tau={family.tau}")
         for ref in family.codes:
             group = build_reference_code(ref)
-            report = standardize(group)
-            mes = measure(group, report)
-            code = group.gray_image
+            # measure cross-checks both kernel and both rank oracles and
+            # raises on a disagreement.
+            try:
+                report = standardize(group)
+                mes = measure(group, report)
+            except (OracleMismatch, StructureError) as exc:
+                bad += 1
+                print(f"{ref.name}: MISMATCH ({exc})")
+                continue
             checks = (
-                bool(is_hadamard(code))
+                bool(is_hadamard(group.gray_image))
                 and report.shape == family.shape
                 and (mes.k, mes.r, mes.case)
                 == (ref.expected_k, ref.expected_r, ref.expected_case)
-                and set(kernel_by_swappers(group)) == set(kernel_bruteforce(code))
-                and rank_by_span_group(group) == rank_gf2(code)
             )
             bad += not checks
             print(f"{ref.name}: k={mes.k} r={mes.r} case={mes.case} "

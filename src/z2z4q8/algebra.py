@@ -107,10 +107,6 @@ class AmbientSpace:
         """Binary length of the Gray image."""
         return self.k1 + 2 * self.k2 + 4 * self.k3
 
-    @property
-    def num_components(self) -> int:
-        return self.k1 + self.k2 + self.k3
-
     def identity(self) -> GroupElement:
         return _make(self, 0, 0, 0, 0, 0, 0)
 

@@ -1,19 +1,21 @@
 """Constructions of Hadamard codes over the Z2/Z4/Q8 alphabets.
 
 The pipeline is: build a short abelian Hadamard base code (binary, quaternary,
-or mixed), lift it componentwise into a larger alphabet to form the abelian
-part A, then append one or two outside generators whose component pattern (the
-"dial") steers the rank and kernel dimension of the result.  A planner turns a
-target (m, k, r) into such a recipe and verifies the outcome.
+or mixed), lift its generators componentwise into a larger alphabet and close
+them to form the abelian part A, then append one or two outside generators
+whose component pattern (the "dial") steers the rank and kernel dimension of
+the result.  make_plan turns a target (m, k, r) into such a recipe and
+build_from_plan builds and verifies it; construct_for is that pair after
+looking up the preferred shape for (k, r).  Both read one cached abelian part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
-from typing import Callable
 
-from .algebra import AmbientSpace, GroupElement, order, sort_key, square
+from .algebra import AmbientSpace, GroupElement, order, square
 from .code import CodeGroup, ParseError, closure, is_hadamard
 from .structure import (
     SHAPES,
@@ -155,29 +157,32 @@ def base_hadamard(spec: BaseHadamardSpec) -> CodeGroup:
 ### Lifting homomorphisms ####################################################
 
 
-def _lift_element(c: GroupElement, shape: str, target: AmbientSpace,
-                  half: tuple[int, ...] = ()) -> GroupElement:
-    """Entrywise image of a base element under the paper's maps: chi1 sends a
-    binary x to 2x in Z4, chi2 sends a quaternary x to a^x in Q8 (whose Q8
-    index is x itself), and chi3 duplicates a coordinate."""
+def _lift_blocks(c: GroupElement, shape: str, half: tuple[int, ...]
+                 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Entrywise image (z2, z4, q8) of a base element under the paper's maps:
+    chi1 sends a binary x to 2x in Z4, chi2 sends a quaternary x to a^x in Q8
+    (whose Q8 index is x itself), and chi3 duplicates a coordinate.  Shape 4*
+    doubles the quaternary columns listed in half and sends the rest to Q8."""
     z2, z4 = c.z2, c.z4
     if shape == "2":
-        return target.element(q8=z4)
+        return (), (), z4
     if shape == "3":
-        return target.element(z4=tuple(2 * x for x in z2), q8=z4)
+        return (), tuple(2 * x for x in z2), z4
     if shape == "4":
-        return target.element(z2=tuple(v for x in z2 for v in (x, x)), q8=z4)
+        return tuple(v for x in z2 for v in (x, x)), (), z4
     if shape == "4*":
         doubled = tuple(v for j in half for v in (z4[j], z4[j]))
-        q8 = tuple(z4[j] for j in range(len(z4)) if j not in half)
-        return target.element(z4=doubled, q8=q8)
-    if shape == "5":
-        return target.element(q8=tuple(v for x in z4 for v in (x, x)))
-    raise ConstructionError(f"no lift defined for shape {shape}")
+        return (), doubled, tuple(z4[j] for j in range(len(z4)) if j not in half)
+    return (), (), tuple(v for x in z4 for v in (x, x))  # shape 5
 
 
 def lift_to_A(base: CodeGroup, shape: str) -> CodeGroup:
-    """Componentwise image of an abelian base code, per shape."""
+    """Image of an abelian base code under the shape's lift.
+
+    Only the generators are mapped: the lift is a homomorphism, so the
+    subgroup their images generate is the image, in a target space read off
+    the lifted block lengths.  It has the base's order exactly when the lift
+    is injective."""
     row = SHAPES.get(shape)
     if row is None or row.upsilon == 0:
         raise ConstructionError(f"shape {shape} has no lift")
@@ -191,25 +196,16 @@ def lift_to_A(base: CodeGroup, shape: str) -> CodeGroup:
         raise ConstructionError(f"shape {shape} lifts a mixed base without u-squares")
 
     half: tuple[int, ...] = ()
-    if shape == "2":
-        target = AmbientSpace(0, 0, space.k2)
-    elif shape == "3":
-        target = AmbientSpace(0, space.k1, space.k2)
-    elif shape == "4":
-        target = AmbientSpace(2 * space.k1, 0, space.k2)
-    elif shape == "4*":
-        v2 = base.generators[1]
-        half = tuple(j for j, x in enumerate(v2.z4) if x % 2)
+    if shape == "4*":
+        half = tuple(j for j, x in enumerate(base.generators[1].z4) if x % 2)
         if len(half) * 2 != space.k2:
             raise ConstructionError("second order-four row is not odd on half the columns")
-        target = AmbientSpace(0, 2 * len(half), space.k2 - len(half))
-    else:
-        target = AmbientSpace(0, 0, 2 * space.k2)
-    mapped = [_lift_element(c, shape, target, half) for c in base.elements]
-    if len(set(mapped)) != len(base):
+    blocks = [_lift_blocks(g, shape, half) for g in base.generators]
+    target = AmbientSpace(*(len(block) for block in blocks[0]))
+    lifted = closure([target.element(*b) for b in blocks], target)
+    if len(lifted) != len(base):
         raise ConstructionError("lift failed to stay injective")
-    gens = tuple(_lift_element(g, shape, target, half) for g in base.generators)
-    return CodeGroup(target, gens, sorted(mapped, key=sort_key))
+    return lifted
 
 
 ### Allowable (k, r) pairs ###################################################
@@ -429,27 +425,31 @@ def _plan_dial(shape: str, tau: int, tag: str, ranks: range, target_r: int,
                         if not sig & banned))
 
 
+@cache
 def _abelian_part(shape: str, sigma: int, tau: int) -> CodeGroup:
     """The base code, lifted for the non-abelian shapes: what the planner
-    reads to place the dial and what the builder extends."""
+    reads to place the dial and what the builder extends.  Cached, so a
+    plan and its build share one abelian part."""
     base = base_hadamard(_base_spec_for(shape, sigma, tau))
     return base if shape in ("1", "1*") else lift_to_A(base, shape)
 
 
-def _plan_on(abelian_part: Callable[[], CodeGroup], m: int, shape: str, sigma: int,
-             tau: int, target_k: int, target_r: int) -> ConstructionPlan:
-    """make_plan, reading the abelian part from abelian_part() once the
-    target is known to be allowable (shapes 1 and 1* never read it)."""
+def make_plan(m: int, shape: str, sigma: int, tau: int,
+              target_k: int, target_r: int) -> ConstructionPlan:
+    """Plan with the dial filled in, read off the abelian part once the
+    target is known to be allowable (shapes 1 and 1* take no dial)."""
     dial: tuple[int, ...] = ()
     if shape not in ("1", "1*"):
         tag, ranks = _target_case(m, shape, sigma, tau, target_k, target_r)
-        dial = _plan_dial(shape, tau, tag, ranks, target_r, abelian_part())
+        dial = _plan_dial(shape, tau, tag, ranks, target_r,
+                          _abelian_part(shape, sigma, tau))
     return ConstructionPlan(m=m, shape=shape, sigma=sigma, tau=tau,
                             target_k=target_k, target_r=target_r, dial=dial)
 
 
-def _build_on(a_group: CodeGroup, plan: ConstructionPlan) -> tuple[CodeGroup, StructureReport]:
-    """build_from_plan on the plan's abelian part, built already."""
+def build_from_plan(plan: ConstructionPlan) -> tuple[CodeGroup, StructureReport]:
+    """Run base -> lift -> outside generators and verify the outcome."""
+    a_group = _abelian_part(plan.shape, plan.sigma, plan.tau)
     if plan.shape in ("1", "1*"):
         group = a_group  # the base code, which base_hadamard checked
     else:
@@ -469,27 +469,13 @@ def _build_on(a_group: CodeGroup, plan: ConstructionPlan) -> tuple[CodeGroup, St
     return group, report
 
 
-def build_from_plan(plan: ConstructionPlan) -> tuple[CodeGroup, StructureReport]:
-    """Run base -> lift -> outside generators and verify the outcome."""
-    return _build_on(_abelian_part(plan.shape, plan.sigma, plan.tau), plan)
-
-
-def make_plan(m: int, shape: str, sigma: int, tau: int,
-              target_k: int, target_r: int) -> ConstructionPlan:
-    """Plan with the dial filled in (builds the abelian part to locate it)."""
-    return _plan_on(lambda: _abelian_part(shape, sigma, tau),
-                    m, shape, sigma, tau, target_k, target_r)
-
-
 def construct_for(m: int, target_k: int, target_r: int) -> tuple[CodeGroup, StructureReport]:
     """Emit a Hadamard code of length 2^m with the requested kernel dimension
     and rank, choosing the first shape admitting the pair in preference order."""
     table = all_allowable_pairs(m)
     if (target_k, target_r) in table:
         shape, sigma, tau = table[(target_k, target_r)]
-        a_group = _abelian_part(shape, sigma, tau)
-        plan = _plan_on(lambda: a_group, m, shape, sigma, tau, target_k, target_r)
-        return _build_on(a_group, plan)
+        return build_from_plan(make_plan(m, shape, sigma, tau, target_k, target_r))
     nearest = tuple(sorted(table,
                            key=lambda p: (abs(p[0] - target_k) + abs(p[1] - target_r), p))[:5])
     raise NotAllowableError(

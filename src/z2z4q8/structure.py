@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .algebra import (
     AmbientSpace,
@@ -353,11 +353,11 @@ def standardize(group: CodeGroup) -> StructureReport:
             a_sorted = [c for c in group.elements if c in a_span]
             outside = [c for c in group.elements if c not in a_span]
             if shape == "2":
-                found = _witness_shape2(group, a_sorted, outside, u, tau)
+                found = _witness_shape2(a_sorted, outside, u, tau)
             elif shape == "3":
-                found = _witness_shape3(group, a_sorted, outside, u, tau)
+                found = _witness_shape3(a_sorted, outside, u, tau)
             elif shape == "4":
-                found = _witness_shape4(a_sorted, outside, ident, u, tau)
+                found = _witness_shape4(a_sorted, outside, u, tau)
             elif shape == "4*":
                 found = _witness_shape4star(z_group, chosen, outside, ident, u, tau)
             else:
@@ -386,7 +386,7 @@ def standardize(group: CodeGroup) -> StructureReport:
     return report
 
 
-def _witness_shape2(group, a_sorted, outside, u, tau):
+def _witness_shape2(a_sorted, outside, u, tau):
     for r1 in a_sorted:
         if order(r1) != 4 or square(r1) != u:
             continue
@@ -398,7 +398,7 @@ def _witness_shape2(group, a_sorted, outside, u, tau):
     return None
 
 
-def _witness_shape3(group, a_sorted, outside, u, tau):
+def _witness_shape3(a_sorted, outside, u, tau):
     s1 = _first(outside, lambda c: square(c) == u)
     if s1 is None:
         return None
@@ -406,7 +406,7 @@ def _witness_shape3(group, a_sorted, outside, u, tau):
     return rs, (s1,)
 
 
-def _witness_shape4(a_sorted, outside, ident, u, tau):
+def _witness_shape4(a_sorted, outside, u, tau):
     if tau != 1:
         raise StructureError(f"shape 4 needs tau = 1, got {tau}")
     for r1 in a_sorted:
@@ -655,6 +655,20 @@ def _binary_columns(code_words: Sequence) -> list[int]:
     return cols
 
 
+def _pair_columns(cols: Iterable[Hashable]) -> tuple[list[int], list[int]]:
+    """Pair equal columns in order: the index of each column that opens a
+    pair (or stays unpaired), and the sorted indices left without a partner."""
+    unpaired: dict[Hashable, int] = {}
+    keep: list[int] = []
+    for j, pattern in enumerate(cols):
+        if pattern in unpaired:
+            del unpaired[pattern]
+        else:
+            unpaired[pattern] = j
+            keep.append(j)
+    return keep, sorted(unpaired.values())
+
+
 def verify_duplication(report: StructureReport) -> CheckResult:
     """Check that the abelian part is a doubled (upsilon=1) or quadrupled
     (upsilon=2) image of a shorter Hadamard code of the abelian alphabets."""
@@ -665,17 +679,8 @@ def verify_duplication(report: StructureReport) -> CheckResult:
     space = a_grp.space
     if prof.upsilon == 1:
         words = [gray(c) for c in a_grp.elements]
-        cols = _binary_columns(words)
-        unpaired: dict[int, int] = {}
-        keep: list[int] = []
-        for j, pattern in enumerate(cols):
-            if pattern in unpaired:
-                del unpaired[pattern]
-            else:
-                unpaired[pattern] = j
-                keep.append(j)
-        if unpaired:
-            leftover = sorted(unpaired.values())
+        keep, leftover = _pair_columns(_binary_columns(words))
+        if leftover:
             return CheckResult(False, f"columns {leftover} have no duplicate partner")
         halved = [sum(w.bit(j) << (len(keep) - 1 - i) for i, j in enumerate(keep))
                   for w in words]
@@ -688,23 +693,14 @@ def verify_duplication(report: StructureReport) -> CheckResult:
     if space.k1 or space.k2:
         return CheckResult(False, "quadruplication expects a pure Q8 ambient")
     rows = [c.q8 for c in a_grp.elements]
-    col_values = list(zip(*rows))
-    unpaired_q: dict[tuple, int] = {}
-    keep_q: list[int] = []
-    for j, pattern in enumerate(col_values):
-        if pattern in unpaired_q:
-            del unpaired_q[pattern]
-        else:
-            unpaired_q[pattern] = j
-            keep_q.append(j)
-    if unpaired_q:
-        return CheckResult(False,
-                           f"Q8 columns {sorted(unpaired_q.values())} have no duplicate partner")
-    if any(any(row[j] > 3 for j in keep_q) for row in rows):
+    keep, leftover = _pair_columns(zip(*rows))
+    if leftover:
+        return CheckResult(False, f"Q8 columns {leftover} have no duplicate partner")
+    if any(any(row[j] > 3 for j in keep) for row in rows):
         return CheckResult(False, "abelian part has entries outside the a-cycle")
-    z4_space = AmbientSpace(0, len(keep_q), 0)
-    z4_words = [gray(z4_space.element(z4=tuple(row[j] for j in keep_q))) for row in rows]
-    quarter = BinaryCode(2 * len(keep_q), z4_words)
+    z4_space = AmbientSpace(0, len(keep), 0)
+    z4_words = [gray(z4_space.element(z4=tuple(row[j] for j in keep))) for row in rows]
+    quarter = BinaryCode(2 * len(keep), z4_words)
     verdict = is_hadamard(quarter)
     if not verdict:
         return CheckResult(False, f"quartered image not Hadamard: {verdict.diagnosis}")

@@ -2,6 +2,7 @@
 documented report scripts."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +223,28 @@ def test_exit_verify_on_oracle_mismatch(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "rank oracles disagree" in err
 
 
+@pytest.mark.parametrize("oracle, expected", [
+    ("kernel_by_swappers",
+     "hadamard=pass\ntable3=pass\nduplication=pass\n"
+     "kernel_oracles=fail\nrank_oracles=pass\nverdict=fail\n"
+     "diagnosis: kernel_oracles: swapper kernel differs from brute force\n"),
+    ("rank_by_span_group",
+     "hadamard=pass\ntable3=pass\nduplication=pass\n"
+     "kernel_oracles=pass\nrank_oracles=fail\nverdict=fail\n"
+     "diagnosis: rank_oracles: span-group rank differs from GF(2) rank\n"),
+])
+def test_verify_reports_oracle_disagreement(tmp_path, capsys, monkeypatch,
+                                            oracle, expected):
+    # The golden for verify's oracle failure lines and their diagnosis text.
+    out = tmp_path / "code.gens"
+    assert main(["construct", "--m", "4", "--k", "2", "--r", "7",
+                 "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(z2z4q8.cli, oracle, lambda group: ())
+    assert main(["verify", "--in", str(out)]) == EXIT_VERIFY == 5
+    assert capsys.readouterr().out == expected
+
+
 def test_oversized_input_stops_at_hadamard_size(tmp_path, capsys):
     # a and b in each of four Q8 coordinates generate all 8^4 = 4096
     # elements; a Hadamard code of length 16 has 32.
@@ -294,6 +317,23 @@ def test_documented_scripts_run():
     assert ref.returncode == 0, ref.stdout + ref.stderr
     assert [line.endswith(" ok") for line in ref.stdout.splitlines()
             if not line.startswith("#")] == [True] * 3
+
+
+def test_reference_script_reports_oracle_mismatch(capsys, monkeypatch):
+    # An oracle disagreement is one MISMATCH line per code and exit 1, not a
+    # traceback.
+    script = runpy.run_path(str(ROOT / "scripts" / "reproduce_reference_codes.py"))
+    span_rank = z2z4q8.code.rank_by_span_group
+    monkeypatch.setattr(z2z4q8.code, "rank_by_span_group",
+                        lambda group: span_rank(group) + 1)
+    monkeypatch.setattr(sys, "argv", ["reproduce_reference_codes.py", "--family", "B"])
+    assert script["main"]() == 1
+    assert capsys.readouterr().out == (
+        "# family B: length 2^5, shape 3, sigma=3, tau=2\n"
+        "len32-k4-r7: MISMATCH (rank oracles disagree: 7 vs 8)\n"
+        "len32-k3-r9: MISMATCH (rank oracles disagree: 9 vs 10)\n"
+        "len32-k3-r8: MISMATCH (rank oracles disagree: 8 vs 9)\n"
+        "# 3 code(s) failed verification\n")
 
 
 def test_parser_is_built_once():

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_construct import lift_elementwise
 
+import z2z4q8.construct as construct
 from z2z4q8.algebra import order, square
 from z2z4q8.code import BinaryCode, ParseError, closure, is_hadamard
 from z2z4q8.construct import (
@@ -24,7 +26,7 @@ from z2z4q8.construct import (
     parse_plan,
     plan_text,
 )
-from z2z4q8.structure import SHAPE_LABELS, measure, shape_parameter_range
+from z2z4q8.structure import SHAPE_LABELS, SHAPES, measure, shape_parameter_range
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -126,6 +128,45 @@ def test_lift_preserves_group_structure():
     lifted = lift_to_A(base, "2")
     regen = closure(lifted.generators, lifted.space)
     assert regen.same_elements(lifted)
+
+
+def _lift_cases():
+    """Every base a lifted window of m = 3..10 builds, and the shape-4 and
+    4* fixture bases of test_structure."""
+    for m in range(3, 11):
+        for shape in ("2", "3", "5"):
+            for sigma, tau in shape_parameter_range(m, shape):
+                yield BaseHadamardSpec(sigma - tau, tau, SHAPES[shape].u_square), shape
+    yield BaseHadamardSpec(2, 1, False), "4"
+    yield BaseHadamardSpec(0, 2, True), "4*"
+
+
+def test_lift_matches_elementwise_reference():
+    cases = list(_lift_cases())
+    assert len(cases) == 52
+    for spec, shape in cases:
+        base = base_hadamard(spec)
+        lifted, expected = lift_to_A(base, shape), lift_elementwise(base, shape)
+        assert lifted.space == expected.space, (spec, shape)
+        assert lifted.generators == expected.generators, (spec, shape)
+        assert lifted.elements == expected.elements, (spec, shape)
+
+
+def test_plan_and_build_share_one_abelian_part(monkeypatch):
+    built = []
+    real = construct.base_hadamard
+    monkeypatch.setattr(construct, "base_hadamard",
+                        lambda spec: built.append(spec) or real(spec))
+    shape, sigma, tau = all_allowable_pairs(5)[(3, 8)]
+    assert shape == "2"
+    construct._abelian_part.cache_clear()
+    first, _ = construct_for(5, 3, 8)
+    second, _ = construct_for(5, 3, 8)
+    assert len(built) == 1 and first.elements == second.elements
+    construct._abelian_part.cache_clear()
+    built.clear()
+    build_from_plan(make_plan(5, shape, sigma, tau, 3, 8))
+    assert len(built) == 1
 
 
 ### Allowable pairs ##########################################################

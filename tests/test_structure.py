@@ -14,7 +14,7 @@ import pytest
 import z2z4q8.structure
 from z2z4q8.algebra import AmbientSpace, commutator, order
 from z2z4q8.code import BinaryCode, closure, is_hadamard, rank_kernel_report
-from z2z4q8.construct import BaseHadamardSpec, base_hadamard, lift_to_A
+from z2z4q8.construct import BaseHadamardSpec, base_hadamard, construct_for, lift_to_A
 from z2z4q8.reference import (
     REFERENCE_FAMILY_A,
     REFERENCE_FAMILY_B,
@@ -356,6 +356,23 @@ def test_verify_duplication_family_b(family_b_reports):
     for _, _, report in family_b_reports:
         check = verify_duplication(report)
         assert check, check.detail
+
+
+def test_verify_duplication_names_unpaired_columns(family_b_reports):
+    # Columns 0 and 1 pair up and column 2 is left over, on the binary side
+    # (upsilon = 1) and on the Q8 side (upsilon = 2).
+    binary = AmbientSpace(3, 0, 0)
+    a_binary = closure([binary.element(z2=(1, 1, 0)), binary.element(z2=(0, 0, 1))])
+    report = replace(family_b_reports[0][2], abelian_max=a_binary)
+    assert verify_duplication(report) == CheckResult(
+        False, "columns [2] have no duplicate partner")
+    quaternion = AmbientSpace(0, 0, 3)
+    a_q8 = closure([quaternion.element(q8=("a", "a", "1")),
+                    quaternion.element(q8=("1", "1", "a"))])
+    _, report = construct_for(5, 2, 8)
+    assert report.profile.upsilon == 2
+    assert verify_duplication(replace(report, abelian_max=a_q8)) == CheckResult(
+        False, "Q8 columns [2] have no duplicate partner")
 
 
 def test_check_result_is_falsy_with_detail():
