@@ -27,7 +27,6 @@ from .code import (
     BinaryCode,
     ClosureSizeError,
     CodeGroup,
-    HadamardCheck,
     OracleMismatch,
     ParseError,
     RankKernelReport,

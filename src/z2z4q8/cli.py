@@ -26,7 +26,6 @@ from pathlib import Path
 from .algebra import AmbientSpace, GroupElement
 from .code import (
     DEFAULT_CLOSURE_CAP,
-    BinaryCode,
     ClosureSizeError,
     CodeGroup,
     OracleMismatch,
@@ -97,7 +96,7 @@ def _load_group(path: str, hadamard_only: bool = False) -> CodeGroup:
 def _require_hadamard(group: CodeGroup) -> None:
     verdict = is_hadamard(group.gray_image)
     if not verdict:
-        raise StructureError(f"input is not a Hadamard code: {verdict.diagnosis}")
+        raise StructureError(f"input is not a Hadamard code: {verdict.detail}")
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -160,7 +159,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         group = closure(gens, space)
         code = group.gray_image
         verdict = is_hadamard(code)
-    record("hadamard", bool(verdict), verdict.diagnosis)
+    record("hadamard", bool(verdict), verdict.detail)
     if verdict:
         report = standardize(group)
         t3 = verify_table3(report, group.space)
@@ -184,7 +183,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.format == "gens":
         text = generators_text(group)
     else:
-        text = export_binary(BinaryCode.from_group(group))
+        text = export_binary(group.gray_image)
     _write_or_print(text, args.out)
     return EXIT_OK
 

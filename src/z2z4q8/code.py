@@ -8,7 +8,9 @@ group-side rank oracle, 2^r elements, is never listed.
 
 Rank and kernel are each computed by two independent routes (plain GF(2)
 linear algebra on the binary codewords vs. group-theoretic criteria via
-swappers) so that the test suite can cross-check them on every code.
+swappers); rank_kernel_report cross-checks them on every code it measures
+and returns the pair (r, k) alone.  Checks return a CheckResult: the verdict
+and the first failed clause.
 Binary words are packed ints (see algebra.BinaryWord); GF(2) elimination
 works directly on those ints.  A binary code is split once into the cosets
 of its kernel (BinaryCode.kernel_cosets); the binary kernel oracle and the
@@ -42,7 +44,7 @@ from .algebra import (
 __all__ = [
     "CodeGroup",
     "BinaryCode",
-    "HadamardCheck",
+    "CheckResult",
     "RankKernelReport",
     "ClosureSizeError",
     "OracleMismatch",
@@ -266,9 +268,11 @@ def log2_order(generators: Iterable[GroupElement]) -> int:
 
 
 @dataclass(frozen=True)
-class HadamardCheck:
+class CheckResult:
+    """Boolean verdict plus the first failed clause (empty when ok)."""
+
     ok: bool
-    diagnosis: str = ""
+    detail: str = ""
 
     def __bool__(self) -> bool:
         return self.ok
@@ -342,14 +346,14 @@ class BinaryCode:
         return tuple(sorted(kernel)), tuple(sorted(reps))
 
 
-def size_check(n: int, size: int) -> HadamardCheck:
+def size_check(n: int, size: int) -> CheckResult:
     """The first clause of is_hadamard: length n needs 2n codewords."""
     if size != 2 * n:
-        return HadamardCheck(False, f"size: expected {2 * n} codewords, got {size}")
-    return HadamardCheck(True)
+        return CheckResult(False, f"size: expected {2 * n} codewords, got {size}")
+    return CheckResult(True)
 
 
-def is_hadamard(code: BinaryCode) -> HadamardCheck:
+def is_hadamard(code: BinaryCode) -> CheckResult:
     """Full Hadamard-code check with a named first-failure diagnosis.
 
     Both the weight-distribution clause and the pairwise-distance clause are
@@ -369,16 +373,16 @@ def is_hadamard(code: BinaryCode) -> HadamardCheck:
     if not size:
         return size
     if not code.contains_bits(0):
-        return HadamardCheck(False, "all-zeros word missing")
+        return CheckResult(False, "all-zeros word missing")
     if not code.contains_bits(full):
-        return HadamardCheck(False, "all-ones word missing")
+        return CheckResult(False, "all-ones word missing")
     for bits in code.word_ints:
         w = bits.bit_count()
         if w not in (0, half, n):
-            return HadamardCheck(False, f"word of weight {w} (allowed 0, {half}, {n})")
+            return CheckResult(False, f"word of weight {w} (allowed 0, {half}, {n})")
     if len(code._int_set) != len(code.word_ints) or not _cosets_apart(code):
         return _pairwise_scan(code)
-    return HadamardCheck(True)
+    return CheckResult(True)
 
 
 def _cosets_apart(code: BinaryCode) -> bool:
@@ -397,7 +401,7 @@ def _cosets_apart(code: BinaryCode) -> bool:
     return True
 
 
-def _pairwise_scan(code: BinaryCode) -> HadamardCheck:
+def _pairwise_scan(code: BinaryCode) -> CheckResult:
     """The pairwise clause pair by pair, in word order: names the first pair
     at a distance other than n/2 or n."""
     n = code.n
@@ -407,8 +411,8 @@ def _pairwise_scan(code: BinaryCode) -> HadamardCheck:
         for wj in ints[i + 1 :]:
             d = (wi ^ wj).bit_count()
             if d != half and d != n:
-                return HadamardCheck(False, f"pair at distance {d} (allowed {half}, {n})")
-    return HadamardCheck(True)
+                return CheckResult(False, f"pair at distance {d} (allowed {half}, {n})")
+    return CheckResult(True)
 
 
 ### Kernel: two independent routes ###########################################
@@ -458,23 +462,15 @@ def rank_by_span_group(group: CodeGroup) -> int:
 class RankKernelReport:
     r: int
     k: int
-    kernel_words: tuple[BinaryWord, ...]  # canonical GF(2) basis of the kernel
-    span_dimension_check: int
-
-    def consistent(self) -> bool:
-        return self.r == self.span_dimension_check and self.k <= self.r
 
 
 def rank_kernel_report(group: CodeGroup) -> RankKernelReport:
     """Compute rank and kernel by both routes and cross-check them."""
     code = group.gray_image
-    kernel_set = kernel_bruteforce(code)
-    kernel_other = kernel_by_swappers(group)
-    if kernel_set != kernel_other:
+    if kernel_bruteforce(code) != kernel_by_swappers(group):
         raise OracleMismatch("kernel oracles disagree")
-    basis = gf2_basis(w.bits for w in kernel_set)
-    k = len(basis)
     kernel, reps = code.kernel_cosets  # is_hadamard trusts these cosets
+    k = gf2_rank(kernel)
     rebuilt = {r ^ z for r in reps for z in kernel}
     if len(reps) << k != len(code) or rebuilt != code._int_set:
         raise OracleMismatch("kernel cosets do not rebuild the code")
@@ -482,15 +478,7 @@ def rank_kernel_report(group: CodeGroup) -> RankKernelReport:
     r2 = rank_by_span_group(group)
     if r != r2:
         raise OracleMismatch(f"rank oracles disagree: {r} vs {r2}")
-    report = RankKernelReport(
-        r=r,
-        k=k,
-        kernel_words=tuple(BinaryWord(code.n, b) for b in basis),
-        span_dimension_check=r2,
-    )
-    if not report.consistent():
-        raise OracleMismatch("inconsistent rank/kernel report")
-    return report
+    return RankKernelReport(r=r, k=k)
 
 
 ### File formats #############################################################

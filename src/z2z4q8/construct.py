@@ -110,14 +110,7 @@ def base_hadamard(spec: BaseHadamardSpec) -> CodeGroup:
             gens.append(space.element(z4=tuple(col[i] for col in cols)))
         for j in range(gamma):
             gens.append(space.element(z4=tuple(2 * col[delta - 1 + j] for col in cols)))
-    elif delta == 0:
-        k1 = 2 ** (gamma - 1)
-        space = AmbientSpace(k1, 0, 0)
-        tcols = [_mixed_radix(i, (2,) * (gamma - 1)) for i in range(k1)]
-        gens = [space.element(z2=(1,) * k1)]
-        for j in range(gamma - 1):
-            gens.append(space.element(z2=tuple(col[j] for col in tcols)))
-    else:
+    else:  # at delta = 0 no quaternary column survives: a binary code
         k1 = 2 ** (gamma - 1 + delta)
         tcols = [_mixed_radix(i, (2,) * (gamma - 1 + delta)) for i in range(k1)]
         radices = (4,) * delta + (2,) * (gamma - 1)
@@ -150,7 +143,7 @@ def base_hadamard(spec: BaseHadamardSpec) -> CodeGroup:
             f"base of type 2^{gamma} 4^{delta} closed into {len(group)} elements")
     verdict = is_hadamard(group.gray_image)
     if not verdict:
-        raise ConstructionError(f"base code is not Hadamard: {verdict.diagnosis}")
+        raise ConstructionError(f"base code is not Hadamard: {verdict.detail}")
     return group
 
 
@@ -327,7 +320,7 @@ def build_s_generators(a_group: CodeGroup, plan: ConstructionPlan) -> list[Group
     """
     space = a_group.space
     shape = plan.shape
-    if shape in ("1", "1*"):
+    if SHAPES[shape].upsilon == 0:
         return []
     k3 = space.k3
     bad = [j for j in plan.dial if not 0 <= j < k3]
@@ -431,16 +424,16 @@ def _abelian_part(shape: str, sigma: int, tau: int) -> CodeGroup:
     reads to place the dial and what the builder extends.  Cached, so a
     plan and its build share one abelian part."""
     base = base_hadamard(_base_spec_for(shape, sigma, tau))
-    return base if shape in ("1", "1*") else lift_to_A(base, shape)
+    return base if SHAPES[shape].upsilon == 0 else lift_to_A(base, shape)
 
 
 def make_plan(m: int, shape: str, sigma: int, tau: int,
               target_k: int, target_r: int) -> ConstructionPlan:
     """Plan with the dial filled in, read off the abelian part once the
     target is known to be allowable (shapes 1 and 1* take no dial)."""
+    tag, ranks = _target_case(m, shape, sigma, tau, target_k, target_r)
     dial: tuple[int, ...] = ()
-    if shape not in ("1", "1*"):
-        tag, ranks = _target_case(m, shape, sigma, tau, target_k, target_r)
+    if SHAPES[shape].upsilon:
         dial = _plan_dial(shape, tau, tag, ranks, target_r,
                           _abelian_part(shape, sigma, tau))
     return ConstructionPlan(m=m, shape=shape, sigma=sigma, tau=tau,
@@ -450,14 +443,14 @@ def make_plan(m: int, shape: str, sigma: int, tau: int,
 def build_from_plan(plan: ConstructionPlan) -> tuple[CodeGroup, StructureReport]:
     """Run base -> lift -> outside generators and verify the outcome."""
     a_group = _abelian_part(plan.shape, plan.sigma, plan.tau)
-    if plan.shape in ("1", "1*"):
+    if SHAPES[plan.shape].upsilon == 0:
         group = a_group  # the base code, which base_hadamard checked
     else:
         s_gens = build_s_generators(a_group, plan)
         group = closure(tuple(a_group.generators) + tuple(s_gens), a_group.space)
         verdict = is_hadamard(group.gray_image)
         if not verdict:
-            raise ConstructionError(f"construction is not Hadamard: {verdict.diagnosis}")
+            raise ConstructionError(f"construction is not Hadamard: {verdict.detail}")
     report = standardize(group)
     if report.shape != plan.shape:
         raise ConstructionError(

@@ -6,7 +6,10 @@ abelian normal subgroup.  From that chain the group is classified into one of
 seven shape labels, rewritten into a standard generating family
 (x_1..x_sigma; r_1..r_tau; s_1..s_upsilon), and measured: the rank and kernel
 dimension of its binary Gray image follow from swapper membership tests on the
-standard generators.
+standard generators.  The report keeps T, A, the profile, the shape and the
+standard generators; Z is used inside standardize and the R part of case 4a
+is built where that case is tested.  CheckResult is defined in the code
+module and re-exported here.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .algebra import (
     square,
     swapper,
 )
-from .code import BinaryCode, CodeGroup, Span, is_hadamard, rank_kernel_report
+from .code import BinaryCode, CheckResult, CodeGroup, Span, is_hadamard, rank_kernel_report
 
 __all__ = [
     "StructureError",
@@ -111,17 +114,6 @@ def shape_parameter_range(m: int, shape: str) -> list[tuple[int, int]]:
     if row is None:
         raise StructureError(f"unknown shape {shape}")
     return [(m + 1 - tau - row.upsilon, tau) for tau in row.taus(m)]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Boolean verdict plus the first failed clause (empty when ok)."""
-
-    ok: bool
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 ### Subgroup scans ###########################################################
@@ -234,10 +226,11 @@ class StandardGenerators:
 
 @dataclass(frozen=True)
 class StructureReport:
+    """What standardize found: the torsion subgroup T, the abelian part A,
+    the profile, the shape label and the standard generating family."""
+
     torsion: CodeGroup
-    center: CodeGroup
     abelian_max: CodeGroup
-    r_part: CodeGroup
     profile: CodeProfile
     shape: str
     std_gens: StandardGenerators
@@ -330,7 +323,7 @@ def standardize(group: CodeGroup) -> StructureReport:
     upsilon = SHAPES[shape].upsilon
     tau = m + 1 - sigma - upsilon
 
-    if shape in ("1", "1*"):
+    if upsilon == 0:
         order4 = [c for c in group.elements if order(c) == 4]
         rs: list[GroupElement] = []
         if shape == "1*":
@@ -349,7 +342,7 @@ def standardize(group: CodeGroup) -> StructureReport:
         found = None
         for chosen, a_span in _abelian_extensions(
                 group, Span(space, z_group.generators), picks,
-                avoid_u_square=shape in ("3", "4")):
+                avoid_u_square=not SHAPES[shape].u_square):
             a_sorted = [c for c in group.elements if c in a_span]
             outside = [c for c in group.elements if c not in a_span]
             if shape == "2":
@@ -373,15 +366,9 @@ def standardize(group: CodeGroup) -> StructureReport:
     profile = CodeProfile(m=m, sigma=sigma, tau=tau, tau_bar=tau_bar,
                           upsilon=upsilon, delta=delta, rho=rho)
     a_group = CodeGroup(space, tuple(t_group.generators) + tuple(rs), a_sorted)
-    if tau_bar < tau:
-        r_gens = tuple(t_group.generators) + tuple(rs[1:])
-        r_span = Span(space, r_gens)
-        r_group = CodeGroup(space, r_gens, [c for c in a_sorted if c in r_span])
-    else:
-        r_group = a_group
     std = StandardGenerators(x=tuple(t_group.generators), r=tuple(rs), s=tuple(ss))
-    report = StructureReport(torsion=t_group, center=z_group, abelian_max=a_group,
-                             r_part=r_group, profile=profile, shape=shape, std_gens=std)
+    report = StructureReport(torsion=t_group, abelian_max=a_group, profile=profile,
+                             shape=shape, std_gens=std)
     _validate_report(group, report)
     return report
 
@@ -583,10 +570,13 @@ def _match_case(group: CodeGroup, report: StructureReport,
             raise StructureError(f"impossible swapper membership count {inside} at tau=2")
         return tag
     if family == "4":
+        # R: the abelian part, or the span of x, r2..r_tau when r1^2 = u.
         s1 = ss[0]
-        a_gens = report.abelian_max.generators
-        if any(all(swapper(mul(b, s1), a) in group for a in a_gens)
-               for b in report.r_part.elements):
+        a_grp = report.abelian_max
+        r_part = (a_grp.elements if prof.tau_bar == prof.tau
+                  else Span(group.space, report.std_gens.x + rs[1:]).elements)
+        if any(all(swapper(mul(b, s1), a) in group for a in a_grp.generators)
+               for b in r_part):
             return "4a"
         if prof.tau_bar == prof.tau - 1 and swapper(s1, rs[0]) in group:
             return "4b"
@@ -597,17 +587,15 @@ def _match_case(group: CodeGroup, report: StructureReport,
     return ("5c", "5b", "5a")[inside]
 
 
-def measure(group: CodeGroup, report: StructureReport | None = None) -> MeasureResult:
+def measure(group: CodeGroup, report: StructureReport) -> MeasureResult:
     """Kernel dimension and rank of the Gray image, with the matched case tag.
 
     The pair is computed by the independent oracles of the code module; the
     matched case's predicted value (or range, for tag 4c) from
     allowable_cases is then asserted, so a witness-selection bug here
-    surfaces as a loud mismatch error.  A report from an earlier standardize
-    call may be passed to avoid recomputing it.
+    surfaces as a loud mismatch error.  The report is the one standardize
+    gave for the group.
     """
-    if report is None:
-        report = standardize(group)
     rk = rank_kernel_report(group)
     prof = report.profile
     cases = allowable_cases(prof.m, prof.sigma, prof.tau, prof.tau_bar, prof.upsilon)
@@ -687,7 +675,7 @@ def verify_duplication(report: StructureReport) -> CheckResult:
         half_code = BinaryCode(len(keep), [BinaryWord(len(keep), bits) for bits in halved])
         verdict = is_hadamard(half_code)
         if not verdict:
-            return CheckResult(False, f"halved image not Hadamard: {verdict.diagnosis}")
+            return CheckResult(False, f"halved image not Hadamard: {verdict.detail}")
         return CheckResult(True)
     # upsilon == 2: quaternion columns pair up and collapse to a Z4 code.
     if space.k1 or space.k2:
@@ -703,7 +691,7 @@ def verify_duplication(report: StructureReport) -> CheckResult:
     quarter = BinaryCode(2 * len(keep), z4_words)
     verdict = is_hadamard(quarter)
     if not verdict:
-        return CheckResult(False, f"quartered image not Hadamard: {verdict.diagnosis}")
+        return CheckResult(False, f"quartered image not Hadamard: {verdict.detail}")
     return CheckResult(True)
 
 

@@ -296,7 +296,7 @@ def test_binary_checks_match_pairwise_references(corpus):
         swapped = _swap_one_word(words, code.n)
         verdict = is_hadamard(BinaryCode(code.n, [BinaryWord(code.n, w) for w in swapped]))
         assert not verdict, label
-        assert verdict.diagnosis == hadamard_diagnosis(code.n, swapped), label
+        assert verdict.detail == hadamard_diagnosis(code.n, swapped), label
 
 
 ### Criterion 6: coverage sweep over every shape and allowable pair ##########

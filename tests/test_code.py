@@ -162,20 +162,20 @@ def test_codegroup_membership(sample_codes):
 def test_sample_codes_are_hadamard(sample_codes):
     for group in sample_codes:
         verdict = is_hadamard(BinaryCode.from_group(group))
-        assert verdict, verdict.diagnosis
+        assert verdict, verdict.detail
 
 
 def test_hadamard_rejects_wrong_size():
     code = BinaryCode(4, [BinaryWord(4, 0), BinaryWord(4, 0b1111)])
     verdict = is_hadamard(code)
-    assert not verdict and "size" in verdict.diagnosis
+    assert not verdict and "size" in verdict.detail
 
 
 def test_hadamard_rejects_bad_weight():
     words = [BinaryWord(4, w) for w in
              (0b0000, 0b1111, 0b0011, 0b1100, 0b0101, 0b1010, 0b0001, 0b1110)]
     verdict = is_hadamard(BinaryCode(4, words))
-    assert not verdict and "weight" in verdict.diagnosis
+    assert not verdict and "weight" in verdict.detail
 
 
 def test_hadamard_requires_all_ones():
@@ -223,8 +223,8 @@ def test_pair_diagnosis_names_the_first_bad_pair():
     # 00010111 and 00110011, the first bad pair in word order, are at
     # distance 2; later pairs such as 00010111, 11001100 are at distance 6.
     assert not verdict
-    assert verdict.diagnosis == "pair at distance 2 (allowed 4, 8)"
-    assert verdict.diagnosis == hadamard_diagnosis(8, SWAPPED_8)
+    assert verdict.detail == "pair at distance 2 (allowed 4, 8)"
+    assert verdict.detail == hadamard_diagnosis(8, SWAPPED_8)
     assert is_hadamard(_code(8, sorted(HAMMING_8)))
     assert _code(8, sorted(HAMMING_8)).kernel_cosets == (tuple(sorted(HAMMING_8)), (0,))
 
@@ -295,8 +295,8 @@ def test_binary_checks_match_pairwise_references(case):
     assert {r ^ z for r in reps for z in kernel} == set(words)
     assert all(r == min(r ^ z for z in kernel) for r in reps)
     verdict = is_hadamard(code)
-    assert verdict.diagnosis == hadamard_diagnosis(n, words)
-    assert verdict.ok == (verdict.diagnosis == "")
+    assert verdict.detail == hadamard_diagnosis(n, words)
+    assert verdict.ok == (verdict.detail == "")
 
 
 def test_rank_kernel_report_checks_the_cosets(monkeypatch):

@@ -1,5 +1,6 @@
 """Construction pipeline: base codes, lifts, dials, planner, target scan."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from reference_construct import lift_elementwise
 
 import z2z4q8.construct as construct
 from z2z4q8.algebra import order, square
-from z2z4q8.code import BinaryCode, ParseError, closure, is_hadamard
+from z2z4q8.code import BinaryCode, ParseError, closure, generators_text, is_hadamard
 from z2z4q8.construct import (
     BaseHadamardSpec,
     ConstructionError,
@@ -413,3 +414,20 @@ def test_construct_for_m10_linear():
     mes = measure(group, report)
     assert (mes.k, mes.r) == (11, 11)
     assert group.gray_image.kernel_cosets[1] == (0,)
+
+
+def test_construct_for_m8_m9_generator_files_pinned():
+    # goldens/sweep_m8_m9.txt: shape, case and the sha256 of the generator
+    # file of every pair construct_for builds at m = 8..9.  The two case-4c
+    # gaps pinned by the xfails above are left out.
+    gaps = {(8, 4, 12), (9, 5, 13)}
+    lines = []
+    for m in (8, 9):
+        for k, r in sorted(all_allowable_pairs(m)):
+            if (m, k, r) in gaps:
+                continue
+            group, report = construct_for(m, k, r)
+            digest = hashlib.sha256(generators_text(group).encode()).hexdigest()
+            lines.append(f"m={m} k={k} r={r} shape={report.shape} "
+                         f"case={measure(group, report).case} sha256={digest}")
+    assert lines == (GOLDENS / "sweep_m8_m9.txt").read_text().splitlines()

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 import z2z4q8.structure
-from z2z4q8.algebra import AmbientSpace, commutator, order
+from z2z4q8.algebra import AmbientSpace, commutator, inverse, mul, order
 from z2z4q8.code import BinaryCode, closure, is_hadamard, rank_kernel_report
 from z2z4q8.construct import BaseHadamardSpec, base_hadamard, construct_for, lift_to_A
 from z2z4q8.reference import (
@@ -298,6 +298,70 @@ def test_measure_matches_oracles(family_b_reports):
         rk = rank_kernel_report(group)
         mes = measure(group, report)
         assert (mes.k, mes.r) == (rk.k, rk.r)
+
+
+@pytest.fixture(scope="module")
+def validation_codes(family_b_reports, shape4_codes, shape4star_codes):
+    """(group, report) of one valid code per shape the doctored reports need."""
+    _, group_b, report_b = family_b_reports[0]
+    shape5 = construct_for(5, 2, 8)
+    groups = {"4": shape4_codes["linear"], "4*": shape4star_codes["nonlinear"]}
+    return {"B": (group_b, report_b), "5": shape5,
+            **{label: (g, standardize(g)) for label, g in groups.items()}}
+
+
+def _std(report, **fields):
+    return replace(report, std_gens=replace(report.std_gens, **fields))
+
+
+def _swap_s(report):
+    s1, s2 = report.std_gens.s
+    return _std(report, s=(s2, s1))
+
+
+def _s2_times_r2(report):
+    # (s2 r2)^2 = r2^2 != u, but [s1, s2 r2] = [s1, r2] = r2^2 != e.
+    (_, r2), (s1, s2) = report.std_gens.r, report.std_gens.s
+    return _std(report, s=(s1, mul(s2, r2)))
+
+
+def _s1_times_y1(report):
+    # Shape 4*: r1 = y1 c1 with y1 central and y1^2 c1^2 = u, so s1 y1
+    # squares to u while [r1, s1 y1] = [c1, s1] = c1^2.
+    (r1, c1), (s1,) = report.std_gens.r, report.std_gens.s
+    return _std(report, s=(mul(s1, mul(r1, inverse(c1))),))
+
+
+def _abelian_without_last_x(report):
+    std = report.std_gens
+    return replace(report, abelian_max=closure(std.x[:-1] + std.r + std.s))
+
+
+@pytest.mark.parametrize("code, doctor, message", [
+    pytest.param("B", lambda rep: _std(rep, x=rep.std_gens.x[:-1]),
+                 "x generators do not span the torsion subgroup", id="x-drop-last"),
+    pytest.param("B", lambda rep: _std(rep, s=()),
+                 "standard generators span a different group", id="no-s"),
+    pytest.param("B", lambda rep: _std(rep, r=rep.std_gens.r + rep.std_gens.s),
+                 "r generators do not commute", id="s1-among-r"),
+    pytest.param("5", lambda rep: _std(rep, r=rep.std_gens.r[::-1]),
+                 "u is spanned by r squares but r1^2 != u", id="r-swapped"),
+    pytest.param("5", lambda rep: _std(rep, r=rep.std_gens.r[:1] + rep.std_gens.r),
+                 "u is spanned by the squares of r2..r_tau", id="r1-repeated"),
+    pytest.param("5", _swap_s, "upsilon=2 requires s1^2 = u != s2^2", id="s-swapped"),
+    pytest.param("5", _s2_times_r2, "upsilon=2 requires commuting s1, s2", id="s2-times-r2"),
+    pytest.param("4*", _s1_times_y1, "r1^2 = s1^2 = u requires [r1, s1] = u",
+                 id="s1-times-y1"),
+    pytest.param("B", lambda rep: replace(rep, abelian_max=rep.torsion),
+                 "abelian part has the wrong index", id="abelian-is-torsion"),
+    pytest.param("4", _abelian_without_last_x,
+                 "abelian part does not contain the torsion subgroup", id="abelian-misses-x"),
+])
+def test_validate_report_names_the_failed_clause(validation_codes, code, doctor, message):
+    group, report = validation_codes[code]
+    z2z4q8.structure._validate_report(group, report)  # the report as built is valid
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        z2z4q8.structure._validate_report(group, doctor(report))
 
 
 ### Verification helpers #####################################################
