@@ -9,7 +9,6 @@ recovers the structural profile and checks it against the classification.
 
 from .algebra import (
     AmbientSpace,
-    BinaryWord,
     GroupElement,
     commutator,
     elements_of,
@@ -33,7 +32,6 @@ from .code import (
     closure,
     export_binary,
     generators_text,
-    gf2_basis,
     gf2_rank,
     is_hadamard,
     kernel_bruteforce,

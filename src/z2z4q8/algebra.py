@@ -38,7 +38,6 @@ __all__ = [
     "Q8_NAMES",
     "AmbientSpace",
     "GroupElement",
-    "BinaryWord",
     "mul",
     "inverse",
     "square",
@@ -197,34 +196,6 @@ def _make(space: AmbientSpace, z2p: int, lo: int, hi: int,
     return x
 
 
-@dataclass(frozen=True, order=True)
-class BinaryWord:
-    """Length-n bit vector, packed into an int with the first bit most
-    significant (so integer order equals lexicographic order on the 0/1
-    string)."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError("bits out of range for length")
-
-    def __xor__(self, other: BinaryWord) -> BinaryWord:
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BinaryWord(self.n, self.bits ^ other.bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __str__(self) -> str:
-        return format(self.bits, f"0{self.n}b") if self.n else ""
-
-    def bit(self, pos: int) -> int:
-        return (self.bits >> (self.n - 1 - pos)) & 1
-
-
 def _same_space(x: GroupElement, y: GroupElement) -> AmbientSpace:
     space = x.space
     if space is not y.space and space != y.space:
@@ -260,8 +231,10 @@ def order(x: GroupElement) -> int:
     return 1
 
 
-def gray(x: GroupElement) -> BinaryWord:
-    """Concatenated Gray image: identity on Z2, the reflected code
+def gray(x: GroupElement) -> int:
+    """Concatenated Gray image, packed into an int of x.space.n bits with
+    the first bit most significant (so integer order is the lexicographic
+    order of the 0/1 strings): identity on Z2, the reflected code
     v -> (hi, hi^lo) on Z4, and on Q8 the fixed length-4 words
 
         1 0000, a 0101, a2 1111, a3 1010, b 0110, ab 1100, a2b 1001, a3b 0011,
@@ -275,9 +248,8 @@ def gray(x: GroupElement) -> BinaryWord:
     word = (x.z2p << 2 * space.k2) | (hi << 1) | (hi ^ lo)
     i0, i1, j = _spread(x.i0, 4), _spread(x.i1, 4), _spread(x.j, 4)
     ij = i0 & j
-    word = ((word << 4 * space.k3) | ((i1 ^ ij) << 3) | ((i0 ^ i1 ^ j ^ ij) << 2)
+    return ((word << 4 * space.k3) | ((i1 ^ ij) << 3) | ((i0 ^ i1 ^ j ^ ij) << 2)
             | ((i1 ^ j ^ ij) << 1) | (i0 ^ i1 ^ ij))
-    return BinaryWord(space.n, word)
 
 
 def commutator(x: GroupElement, y: GroupElement) -> GroupElement:

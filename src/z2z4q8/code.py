@@ -11,11 +11,11 @@ linear algebra on the binary codewords vs. group-theoretic criteria via
 swappers); rank_kernel_report cross-checks them on every code it measures
 and returns the pair (r, k) alone.  Checks return a CheckResult: the verdict
 and the first failed clause.
-Binary words are packed ints (see algebra.BinaryWord); GF(2) elimination
-works directly on those ints.  A binary code is split once into the cosets
-of its kernel (BinaryCode.kernel_cosets); the binary kernel oracle and the
-Hadamard check's pairwise clause both read that split, so no scan over all
-pairs of codewords runs unless the pairwise clause fails.
+Binary words are packed ints, as algebra.gray returns them; GF(2)
+elimination works directly on those ints.  A binary code is split once into
+the cosets of its kernel (BinaryCode.kernel_cosets); the binary kernel oracle
+and the Hadamard check's pairwise clause both read that split, so no scan
+over all pairs of codewords runs unless the pairwise clause fails.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .algebra import (
     AmbientSpace,
-    BinaryWord,
     GroupElement,
     commutator,
     frattini_coordinate,
@@ -60,7 +59,6 @@ __all__ = [
     "rank_by_span_group",
     "rank_kernel_report",
     "gf2_rank",
-    "gf2_basis",
     "write_generators",
     "read_generators",
     "export_binary",
@@ -93,24 +91,6 @@ def gf2_rank(rows: Iterable[int]) -> int:
         if row:
             pivots.append(row)
     return len(pivots)
-
-
-def gf2_basis(rows: Iterable[int]) -> list[int]:
-    """Canonical (reduced echelon) basis of the span, descending pivots."""
-    pivots: dict[int, int] = {}  # pivot bit length -> row
-    for row in rows:
-        while row:
-            h = row.bit_length()
-            if h not in pivots:
-                pivots[h] = row
-                break
-            row ^= pivots[h]
-    # back-substitute to make the basis canonical
-    for h in sorted(pivots):
-        for h2 in sorted(pivots):
-            if h2 > h and (pivots[h2] >> (h - 1)) & 1:
-                pivots[h2] ^= pivots[h]
-    return [pivots[h] for h in sorted(pivots, reverse=True)]
 
 
 ### Subgroup enumeration ####################################################
@@ -279,32 +259,28 @@ class CheckResult:
 
 
 class BinaryCode:
-    """Gray image of a CodeGroup (or any explicit word set)."""
+    """Gray image of a CodeGroup (or any explicit word set): the words of
+    length n as sorted packed ints, first bit most significant."""
 
-    def __init__(self, n: int, words: Iterable[BinaryWord]) -> None:
+    def __init__(self, n: int, words: Iterable[int]) -> None:
         self.n = n
         self.words = tuple(sorted(words))
-        self.word_ints = tuple(w.bits for w in self.words)
-        self._int_set = frozenset(self.word_ints)
-        for w in self.words:
-            if w.n != n:
-                raise ValueError("word length mismatch")
+        self.members = frozenset(self.words)
+        if self.words and (self.words[0] < 0 or self.words[-1] >> n):
+            raise ValueError("word length mismatch")
 
     @classmethod
     def from_group(cls, group: CodeGroup) -> "BinaryCode":
-        words = [gray(x) for x in group.elements]
-        if len(set(words)) != len(words):
+        code = cls(group.space.n, map(gray, group.elements))
+        if len(code.members) != len(code):
             raise ValueError("Gray map is not injective on this subgroup")
-        return cls(group.space.n, words)
+        return code
 
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, w: BinaryWord) -> bool:
-        return w.bits in self._int_set and w.n == self.n
-
-    def contains_bits(self, bits: int) -> bool:
-        return bits in self._int_set
+    def __contains__(self, w: int) -> bool:
+        return w in self.members
 
     @cached_property
     def kernel_cosets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -322,13 +298,13 @@ class BinaryCode:
         reps in pairs.  Without 0 in C no word of C is in K (z + z = 0);
         then every word represents itself.
         """
-        members = self._int_set
+        members = self.members
         if 0 not in members:
             return (), tuple(sorted(members))
         basis: list[int] = []  # distinct leading bits, descending
         reps = set(members)
         failed: set[int] = set()
-        for z in self.word_ints:
+        for z in self.words:
             for b in basis:
                 z = min(z, z ^ b)
             if not z or z in failed:
@@ -372,15 +348,15 @@ def is_hadamard(code: BinaryCode) -> CheckResult:
     size = size_check(n, len(code))
     if not size:
         return size
-    if not code.contains_bits(0):
+    if 0 not in code:
         return CheckResult(False, "all-zeros word missing")
-    if not code.contains_bits(full):
+    if full not in code:
         return CheckResult(False, "all-ones word missing")
-    for bits in code.word_ints:
+    for bits in code.words:
         w = bits.bit_count()
         if w not in (0, half, n):
             return CheckResult(False, f"word of weight {w} (allowed 0, {half}, {n})")
-    if len(code._int_set) != len(code.word_ints) or not _cosets_apart(code):
+    if len(code.members) != len(code) or not _cosets_apart(code):
         return _pairwise_scan(code)
     return CheckResult(True)
 
@@ -406,9 +382,9 @@ def _pairwise_scan(code: BinaryCode) -> CheckResult:
     at a distance other than n/2 or n."""
     n = code.n
     half = n // 2
-    ints = code.word_ints
-    for i, wi in enumerate(ints):
-        for wj in ints[i + 1 :]:
+    words = code.words
+    for i, wi in enumerate(words):
+        for wj in words[i + 1 :]:
             d = (wi ^ wj).bit_count()
             if d != half and d != n:
                 return CheckResult(False, f"pair at distance {d} (allowed {half}, {n})")
@@ -418,16 +394,16 @@ def _pairwise_scan(code: BinaryCode) -> CheckResult:
 ### Kernel: two independent routes ###########################################
 
 
-def kernel_bruteforce(code: BinaryCode) -> tuple[BinaryWord, ...]:
+def kernel_bruteforce(code: BinaryCode) -> tuple[int, ...]:
     """All z in C with C + z = C, in word order, from the binary words alone
     (BinaryCode.kernel_cosets).
 
     Searching inside C is enough: 0 is in C, so any kernel word is in C.
     """
-    return tuple(BinaryWord(code.n, z) for z in code.kernel_cosets[0])
+    return code.kernel_cosets[0]
 
 
-def kernel_by_swappers(group: CodeGroup) -> tuple[BinaryWord, ...]:
+def kernel_by_swappers(group: CodeGroup) -> tuple[int, ...]:
     """Kernel via the group criterion: gray(c) is a kernel word iff every
     swapper (c : y), y in the group, stays inside the group.  Checking the
     generators suffices because swappers are multiplicative in each slot."""
@@ -444,7 +420,7 @@ def kernel_by_swappers(group: CodeGroup) -> tuple[BinaryWord, ...]:
 
 def rank_gf2(code: BinaryCode) -> int:
     """Dimension of the GF(2) span of the codewords."""
-    return gf2_rank(code.word_ints)
+    return gf2_rank(code.words)
 
 
 def rank_by_span_group(group: CodeGroup) -> int:
@@ -472,7 +448,7 @@ def rank_kernel_report(group: CodeGroup) -> RankKernelReport:
     kernel, reps = code.kernel_cosets  # is_hadamard trusts these cosets
     k = gf2_rank(kernel)
     rebuilt = {r ^ z for r in reps for z in kernel}
-    if len(reps) << k != len(code) or rebuilt != code._int_set:
+    if len(reps) << k != len(code) or rebuilt != code.members:
         raise OracleMismatch("kernel cosets do not rebuild the code")
     r = rank_gf2(code)
     r2 = rank_by_span_group(group)
@@ -522,5 +498,7 @@ def read_generators(text: str) -> tuple[AmbientSpace, list[GroupElement]]:
 
 
 def export_binary(code: BinaryCode) -> str:
-    """One codeword per line as 0/1 characters, rows sorted lexicographically."""
-    return "\n".join(str(w) for w in code.words) + "\n"
+    """One codeword per line as 0/1 characters, rows sorted lexicographically
+    (a word of length 0 is an empty line)."""
+    n = code.n
+    return "\n".join(f"{w:0{n}b}" if n else "" for w in code.words) + "\n"

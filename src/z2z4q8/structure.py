@@ -22,7 +22,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .algebra import (
     AmbientSpace,
-    BinaryWord,
     GroupElement,
     commutator,
     gray,
@@ -498,6 +497,8 @@ def _validate_report(group: CodeGroup, report: StructureReport) -> None:
         raise StructureError("abelian part does not contain the torsion subgroup")
     if not is_normal_subgroup(group, a_grp):
         raise StructureError("abelian part is not normal")
+    if any(commutator(a, b) != ident for a, b in combinations(a_grp.generators, 2)):
+        raise StructureError("abelian part is not abelian")
 
 
 ### Measurement ##############################################################
@@ -632,13 +633,14 @@ def verify_table3(report: StructureReport, space: AmbientSpace) -> CheckResult:
     return CheckResult(True)
 
 
-def _binary_columns(code_words: Sequence) -> list[int]:
-    """Column patterns of a list of binary words, packed as integers."""
+def _binary_columns(n: int, words: Sequence[int]) -> list[int]:
+    """Column patterns of packed words of length n, first column first, each
+    packed as an integer with word i at bit i."""
     cols = []
-    for j in range(code_words[0].n):
+    for shift in range(n - 1, -1, -1):
         pattern = 0
-        for i, w in enumerate(code_words):
-            pattern |= w.bit(j) << i
+        for i, w in enumerate(words):
+            pattern |= (w >> shift & 1) << i
         cols.append(pattern)
     return cols
 
@@ -666,14 +668,15 @@ def verify_duplication(report: StructureReport) -> CheckResult:
     a_grp = report.abelian_max
     space = a_grp.space
     if prof.upsilon == 1:
+        n = space.n
         words = [gray(c) for c in a_grp.elements]
-        keep, leftover = _pair_columns(_binary_columns(words))
+        keep, leftover = _pair_columns(_binary_columns(n, words))
         if leftover:
             return CheckResult(False, f"columns {leftover} have no duplicate partner")
-        halved = [sum(w.bit(j) << (len(keep) - 1 - i) for i, j in enumerate(keep))
+        half = len(keep)
+        halved = [sum((w >> (n - 1 - j) & 1) << (half - 1 - i) for i, j in enumerate(keep))
                   for w in words]
-        half_code = BinaryCode(len(keep), [BinaryWord(len(keep), bits) for bits in halved])
-        verdict = is_hadamard(half_code)
+        verdict = is_hadamard(BinaryCode(half, halved))
         if not verdict:
             return CheckResult(False, f"halved image not Hadamard: {verdict.detail}")
         return CheckResult(True)

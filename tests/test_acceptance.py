@@ -17,7 +17,6 @@ from reference_code import hadamard_diagnosis, kernel_by_translation
 
 from z2z4q8.algebra import (
     AmbientSpace,
-    BinaryWord,
     commutator,
     gray,
     mul,
@@ -128,9 +127,9 @@ Q8_SPACE = AmbientSpace(0, 0, 1)
 def test_criterion_1_gray_images_and_class_tables_exact():
     t0 = time.monotonic()
     for name, bits in GRAY_Q8.items():
-        assert str(gray(Q8_SPACE.element(q8=(name,)))) == bits
+        assert f"{gray(Q8_SPACE.element(q8=(name,))):04b}" == bits
     for v, bits in GRAY_Z4.items():
-        assert str(gray(Z4_SPACE.element(z4=(v,)))) == bits
+        assert f"{gray(Z4_SPACE.element(z4=(v,))):02b}" == bits
     for x in range(4):
         for y in range(4):
             a, b = Z4_SPACE.element(z4=(x,)), Z4_SPACE.element(z4=(y,))
@@ -289,12 +288,11 @@ def test_binary_checks_match_pairwise_references(corpus):
     assert len(codes) == 39
     for label, group in codes:
         code = group.gray_image
-        words = list(code.word_ints)
-        assert [z.bits for z in kernel_bruteforce(code)] == \
-            kernel_by_translation(words), label
+        words = list(code.words)
+        assert list(kernel_bruteforce(code)) == kernel_by_translation(words), label
         assert is_hadamard(code) and hadamard_diagnosis(code.n, words) == "", label
         swapped = _swap_one_word(words, code.n)
-        verdict = is_hadamard(BinaryCode(code.n, [BinaryWord(code.n, w) for w in swapped]))
+        verdict = is_hadamard(BinaryCode(code.n, swapped))
         assert not verdict, label
         assert verdict.detail == hadamard_diagnosis(code.n, swapped), label
 

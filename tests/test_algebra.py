@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from reference_algebra import Q8_MUL
 from z2z4q8.algebra import (
     AmbientSpace,
-    BinaryWord,
     commutator,
     elements_of,
     frattini_coordinate,
@@ -88,25 +87,25 @@ def _z4(v: int):
 
 def test_q8_gray_images_exact():
     for name, bits in GRAY_Q8_EXPECTED.items():
-        assert str(gray(_q8(name))) == bits
+        assert f"{gray(_q8(name)):04b}" == bits
 
 
 def test_z4_gray_images_exact():
     for v, bits in GRAY_Z4_EXPECTED.items():
-        assert str(gray(_z4(v))) == bits
+        assert f"{gray(_z4(v)):02b}" == bits
 
 
 def test_z2_gray_is_identity():
     space = AmbientSpace(3, 0, 0)
     for bits in range(8):
         x = space.element(z2=((bits >> 2) & 1, (bits >> 1) & 1, bits & 1))
-        assert str(gray(x)) == f"{bits:03b}"
+        assert gray(x) == bits
 
 
 def test_gray_of_identity_and_u():
     for space in (Z4_SPACE, Q8_SPACE, MIXED_SPACE):
-        assert gray(space.identity()).bits == 0
-        assert str(gray(space.all_ones())) == "1" * space.n
+        assert gray(space.identity()) == 0
+        assert gray(space.all_ones()) == (1 << space.n) - 1
 
 
 ### Swapper and commutator tables ############################################
@@ -348,11 +347,16 @@ def test_render_parse_roundtrip(x):
 
 
 def test_binary_word_basics():
-    w = BinaryWord(4, 0b0110)
-    assert str(w) == "0110"
-    assert w.weight() == 2
-    assert w.bit(0) == 0 and w.bit(1) == 1
-    assert (w ^ BinaryWord(4, 0b1111)).bits == 0b1001
+    # A Gray word is an int of space.n bits, the first bit most significant,
+    # so the order of the ints is the lexicographic order of the 0/1 strings.
+    space = AmbientSpace(1, 1, 1)
+    w = gray(space.element(z2=(1,), z4=(3,), q8=("b",)))
+    assert f"{w:0{space.n}b}" == "1" + "10" + "0110"
+    assert w.bit_count() == 4
+    assert [w >> (space.n - 1 - pos) & 1 for pos in range(3)] == [1, 1, 0]
+    assert w ^ gray(space.all_ones()) == 0b0011001
+    words = [gray(_q8(name)) for name in Q8_NAMES]
+    assert [f"{v:04b}" for v in sorted(words)] == sorted(GRAY_Q8_EXPECTED.values())
 
 
 def test_parse_element_rejects_malformed():

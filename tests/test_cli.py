@@ -1,6 +1,9 @@
-"""Command-line interface: golden outputs, round trips, exit codes, and the
-documented report scripts."""
+"""Command-line interface: golden outputs, round trips, exit codes, the
+documented report scripts, and the names the benchmark's tracer reads."""
 
+import ast
+import hashlib
+import importlib
 import os
 import runpy
 import subprocess
@@ -23,6 +26,7 @@ from z2z4q8.cli import (
 
 GOLDENS = Path(__file__).parent / "goldens"
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_GENS = ROOT / "perfbench" / "goldens" / "gens"
 
 
 def test_table_golden(capsys):
@@ -144,6 +148,25 @@ def test_export_binary_row_count(tmp_path, capsys):
     assert len(rows) == 2 ** 5
     assert all(len(row) == 2 ** 4 and set(row) <= {"0", "1"} for row in rows)
     assert rows == sorted(rows)
+
+
+def test_export_binary_golden(tmp_path, capsys):
+    # goldens/export_binary.txt: row count and sha256 of the 0/1 matrix for
+    # the nine reference codes and seven sweep codes of perfbench/goldens/gens.
+    golden = (GOLDENS / "export_binary.txt").read_text().splitlines()
+    lines = []
+    for name in (line.split()[0] for line in golden):
+        assert main(["export", "--in", str(GOLDEN_GENS / f"{name}.gens"),
+                     "--format", "binary"]) == EXIT_OK
+        out = capsys.readouterr().out
+        lines.append(f"{name} rows={len(out.splitlines())} "
+                     f"sha256={hashlib.sha256(out.encode()).hexdigest()}")
+    assert lines == golden
+    # The trivial group of Z2^0 x Z4^0 x Q8^0 has one word, of length 0.
+    empty = tmp_path / "empty.gens"
+    empty.write_text("space 0 0 0\n |  | \n")
+    assert main(["export", "--in", str(empty), "--format", "binary"]) == EXIT_OK
+    assert capsys.readouterr().out == "\n"
 
 
 def test_export_gens_identity(tmp_path, capsys):
@@ -339,3 +362,22 @@ def test_reference_script_reports_oracle_mismatch(capsys, monkeypatch):
 def test_parser_is_built_once():
     # main may run many times in one process; the parser is built once.
     assert build_parser() is build_parser()
+
+
+def test_traced_names_exist():
+    # perfbench/run.py reads the tracer's stats of every name below; one the
+    # package no longer defines would make a `--trace 1` run raise KeyError.
+    wanted = {}
+    for node in ast.parse((ROOT / "perfbench" / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            wanted[node.targets[0].id] = node.value
+    per_call, counted, spanned = (ast.literal_eval(wanted[name]) for name in
+                                  ("ALGEBRA_PER_CALL", "ALGEBRA_COUNTED", "SPANNED"))
+    names = [f"algebra.{op}" for op in per_call + counted]
+    names += [f"{layer}.{func}" for layer, funcs in spanned.items() for func in funcs]
+    layers = tuple(dict.fromkeys(name.split(".")[0] for name in names))
+    tracer_cls = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))["Tracer"]
+    modules = [importlib.import_module(f"z2z4q8.{layer}") for layer in layers]
+    traced = {name for name, *_ in tracer_cls("z2z4q8", layers, modules).targets()}
+    assert len(names) > 30
+    assert [name for name in names if name not in traced] == []

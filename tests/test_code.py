@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from reference_code import hadamard_diagnosis, kernel_by_translation
 
 import z2z4q8.code
-from z2z4q8.algebra import AmbientSpace, BinaryWord, gray, inverse, mul, render_element
+from z2z4q8.algebra import AmbientSpace, gray, inverse, mul, render_element
 from z2z4q8.code import (
     BinaryCode,
     ClosureSizeError,
@@ -16,7 +16,6 @@ from z2z4q8.code import (
     closure,
     export_binary,
     generators_text,
-    gf2_basis,
     gf2_rank,
     is_hadamard,
     kernel_bruteforce,
@@ -166,40 +165,40 @@ def test_sample_codes_are_hadamard(sample_codes):
 
 
 def test_hadamard_rejects_wrong_size():
-    code = BinaryCode(4, [BinaryWord(4, 0), BinaryWord(4, 0b1111)])
+    code = BinaryCode(4, [0, 0b1111])
     verdict = is_hadamard(code)
     assert not verdict and "size" in verdict.detail
 
 
 def test_hadamard_rejects_bad_weight():
-    words = [BinaryWord(4, w) for w in
-             (0b0000, 0b1111, 0b0011, 0b1100, 0b0101, 0b1010, 0b0001, 0b1110)]
+    words = [0b0000, 0b1111, 0b0011, 0b1100, 0b0101, 0b1010, 0b0001, 0b1110]
     verdict = is_hadamard(BinaryCode(4, words))
     assert not verdict and "weight" in verdict.detail
 
 
 def test_hadamard_requires_all_ones():
-    words = [BinaryWord(2, 0b00), BinaryWord(2, 0b01), BinaryWord(2, 0b10),
-             BinaryWord(2, 0b11)]
-    ok = is_hadamard(BinaryCode(2, words))
+    ok = is_hadamard(BinaryCode(2, [0b00, 0b01, 0b10, 0b11]))
     assert ok  # length 2: the trivial Hadamard code
-    missing = BinaryCode(4, [BinaryWord(4, w) for w in
-                             (0, 0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100, 0b0111)])
+    missing = BinaryCode(4, [0, 0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100, 0b0111])
     assert not is_hadamard(missing)
 
 
 def test_weight_and_distance_helpers():
-    w1, w2 = BinaryWord(6, 0b110100), BinaryWord(6, 0b101001)
-    assert w1.weight() == 3
-    assert (w1 ^ w2).weight() == 4
-    assert (w1 ^ w1).weight() == 0
+    # Words are packed ints, first bit most significant: a weight is a
+    # popcount, a distance the popcount of an XOR, and BinaryCode keeps the
+    # words sorted and refuses one longer than n bits.
+    w1, w2 = 0b110100, 0b101001
+    assert w1.bit_count() == 3
+    assert (w1 ^ w2).bit_count() == 4
+    assert (w1 ^ w1).bit_count() == 0
+    code = BinaryCode(6, [w1, 0, w2])
+    assert code.words == (0, w2, w1) and len(code) == 3
+    assert w1 in code and w1 ^ w2 not in code
+    with pytest.raises(ValueError, match="word length mismatch"):
+        BinaryCode(5, [0, w1])
 
 
 ### Kernel cosets and the pairwise clause ###################################
-
-
-def _code(n, words):
-    return BinaryCode(n, [BinaryWord(n, w) for w in words])
 
 
 def _span(basis):
@@ -217,7 +216,7 @@ SWAPPED_8 = sorted(HAMMING_8 - {0b00001111, 0b11110000} | {0b00010111, 0b1110100
 
 
 def test_pair_diagnosis_names_the_first_bad_pair():
-    code = _code(8, SWAPPED_8)
+    code = BinaryCode(8, SWAPPED_8)
     assert code.kernel_cosets == ((0, 255), (0, 23, 51, 60, 85, 90, 102, 105))
     verdict = is_hadamard(code)
     # 00010111 and 00110011, the first bad pair in word order, are at
@@ -225,8 +224,8 @@ def test_pair_diagnosis_names_the_first_bad_pair():
     assert not verdict
     assert verdict.detail == "pair at distance 2 (allowed 4, 8)"
     assert verdict.detail == hadamard_diagnosis(8, SWAPPED_8)
-    assert is_hadamard(_code(8, sorted(HAMMING_8)))
-    assert _code(8, sorted(HAMMING_8)).kernel_cosets == (tuple(sorted(HAMMING_8)), (0,))
+    assert is_hadamard(BinaryCode(8, sorted(HAMMING_8)))
+    assert BinaryCode(8, sorted(HAMMING_8)).kernel_cosets == (tuple(sorted(HAMMING_8)), (0,))
 
 
 class _CountingSet(frozenset):
@@ -244,9 +243,9 @@ def test_kernel_cosets_tests_each_failed_coset_once(monkeypatch):
     # the three other cosets is then tried once, at most |reps| probes each.
     # Trying every word of a failed coset again would take 48 tries.
     reps = (0, 16, 32, 64)
-    code = _code(8, sorted(k | r for k in range(16) for r in reps))
+    code = BinaryCode(8, sorted(k | r for k in range(16) for r in reps))
     monkeypatch.setattr(_CountingSet, "probes", 0)
-    code._int_set = _CountingSet(code._int_set)
+    code.members = _CountingSet(code.members)
     kernel, got_reps = code.kernel_cosets
     assert kernel == tuple(range(16)) and got_reps == reps
     assert _CountingSet.probes <= 2 * (len(code) - len(reps)) + (len(reps) - 1) * len(reps)
@@ -286,9 +285,9 @@ def _word_sets(draw):
 @given(_word_sets())
 def test_binary_checks_match_pairwise_references(case):
     n, words = case
-    code = _code(n, words)
+    code = BinaryCode(n, words)
     kernel, reps = code.kernel_cosets
-    assert list(kernel) == [z.bits for z in kernel_bruteforce(code)]
+    assert kernel == kernel_bruteforce(code)
     assert list(kernel) == kernel_by_translation(words)
     # C is the disjoint union of the cosets r + K, r the least word of each.
     assert len(reps) * len(kernel) == len(words)
@@ -325,16 +324,6 @@ def test_gf2_rank_known_matrix():
     assert gf2_rank([0]) == 0
 
 
-def test_gf2_basis_spans_input():
-    rows = [0b1100, 0b0110, 0b1010, 0b0011]
-    basis = gf2_basis(rows)
-    assert len(basis) == gf2_rank(rows)
-    span = {0}
-    for b in basis:
-        span |= {s ^ b for s in span}
-    assert all(r in span for r in rows)
-
-
 ### Rank and kernel: two independent routes ##################################
 
 
@@ -366,8 +355,8 @@ def test_kernel_words_translate_code(sample_codes):
     for group in sample_codes[:3]:
         code = BinaryCode.from_group(group)
         for z in kernel_by_swappers(group):
-            translated = {w ^ z.bits for w in code.word_ints}
-            assert translated == set(code.word_ints)
+            translated = {w ^ z for w in code.words}
+            assert translated == set(code.words)
 
 
 ### File formats #############################################################
@@ -419,4 +408,4 @@ def test_z4_gray_distance_matches_lee_distance(x, y):
     space = AmbientSpace(0, 1, 0)
     gx, gy = gray(space.element(z4=(x,))), gray(space.element(z4=(y,)))
     lee = min((x - y) % 4, (y - x) % 4)
-    assert (gx ^ gy).weight() == lee
+    assert (gx ^ gy).bit_count() == lee

@@ -337,6 +337,13 @@ def _abelian_without_last_x(report):
     return replace(report, abelian_max=closure(std.x[:-1] + std.r + std.s))
 
 
+def _abelian_with_r1_s1(report):
+    # Shape 5: T with r1 and s1 has the index and normality of an abelian
+    # part and contains T, but [r1, s1] = u.
+    (r1, _), (s1, _) = report.std_gens.r, report.std_gens.s
+    return replace(report, abelian_max=closure(report.torsion.generators + (r1, s1)))
+
+
 @pytest.mark.parametrize("code, doctor, message", [
     pytest.param("B", lambda rep: _std(rep, x=rep.std_gens.x[:-1]),
                  "x generators do not span the torsion subgroup", id="x-drop-last"),
@@ -356,6 +363,8 @@ def _abelian_without_last_x(report):
                  "abelian part has the wrong index", id="abelian-is-torsion"),
     pytest.param("4", _abelian_without_last_x,
                  "abelian part does not contain the torsion subgroup", id="abelian-misses-x"),
+    pytest.param("5", _abelian_with_r1_s1, "abelian part is not abelian",
+                 id="abelian-holds-r1-s1"),
 ])
 def test_validate_report_names_the_failed_clause(validation_codes, code, doctor, message):
     group, report = validation_codes[code]
