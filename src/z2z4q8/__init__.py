@@ -11,10 +11,8 @@ from .algebra import (
     AmbientSpace,
     GroupElement,
     commutator,
-    elements_of,
     gray,
     inverse,
-    m_set,
     mul,
     order,
     parse_element,

@@ -32,7 +32,7 @@ few readers that work entry by entry (lifts, text, duplication checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "Q8_NAMES",
@@ -47,7 +47,6 @@ __all__ = [
     "swapper",
     "frattini_image",
     "frattini_coordinate",
-    "m_set",
     "sort_key",
     "render_element",
     "parse_element",
@@ -290,20 +289,6 @@ def frattini_coordinate(x: GroupElement) -> int:
     return (x.hi << x.space.k3) | x.i1
 
 
-def m_set(x: GroupElement) -> set[int]:
-    """0-based indices of the components carrying an order-two entry.
-
-    Only defined for elements of order at most two; raises on order-4 input.
-    """
-    if order(x) == 4:
-        raise ValueError("m_set is undefined for elements of order four")
-    k1, k2, k3 = x.space.k1, x.space.k2, x.space.k3
-    out: set[int] = set()
-    for offset, plane, k in ((0, x.z2p, k1), (k1, x.hi, k2), (k1 + k2, x.i1, k3)):
-        out.update(offset + t for t in range(k) if (plane >> (k - 1 - t)) & 1)
-    return out
-
-
 def sort_key(x: GroupElement) -> int:
     """Integer key ordering the elements of one space exactly as their
     render_element strings: the Z2 digits, the Z4 digits, then each Q8
@@ -337,18 +322,3 @@ def parse_element(text: str, space: AmbientSpace) -> GroupElement:
     z4 = [int(tok) for tok in chunks[1].split()]
     return space.element(z2, z4, chunks[2].split())
 
-
-def elements_of(space: AmbientSpace) -> Iterator[GroupElement]:
-    """All |space| elements, in mixed-radix order (first component fastest)."""
-    from itertools import product as iproduct
-
-    ranges = [(0, 1)] * space.k1 + [(0, 1, 2, 3)] * space.k2 + [tuple(range(8))] * space.k3
-    k1, k2 = space.k1, space.k2
-    for combo in iproduct(*[range(len(r)) for r in reversed(ranges)]):
-        vals = tuple(reversed(combo))
-        yield GroupElement(
-            space,
-            vals[:k1],
-            vals[k1 : k1 + k2],
-            vals[k1 + k2 :],
-        )

@@ -1,10 +1,10 @@
-"""Subgroup enumeration, Gray-image codes, Hadamard checks, rank and kernel.
+"""Subgroups, Gray-image codes, Hadamard checks, rank and kernel.
 
-Every subgroup the package lists is enumerated coset by coset (Span,
-Dimino's algorithm): the code group itself and the subgroups the structure
-module scans.  Orders alone come from log2_order, which enumerates nothing:
-it works modulo the Frattini subgroup, so the span group behind the
-group-side rank oracle, 2^r elements, is never listed.
+Every subgroup is built as a Span: echelon bases of it modulo the Frattini
+subgroup and of its part inside that subgroup.  Its order comes from those
+bases and its elements are listed only when membership is asked, so closure
+refuses an oversized group before listing it, and log2_order sizes the span
+group behind the group-side rank oracle, 2^r elements, without listing it.
 
 Rank and kernel are each computed by two independent routes (plain GF(2)
 linear algebra on the binary codewords vs. group-theoretic criteria via
@@ -127,9 +127,6 @@ class CodeGroup:
     def log2_order(self) -> int:
         return len(self.elements).bit_length() - 1
 
-    def same_elements(self, other: "CodeGroup") -> bool:
-        return self._member_set == other._member_set
-
     @cached_property
     def gray_image(self) -> "BinaryCode":
         """The Gray image, built on first use and shared by every check."""
@@ -137,58 +134,78 @@ class CodeGroup:
 
 
 class Span:
-    """A subgroup grown one generator at a time, enumerated coset by coset.
+    """A subgroup H grown one generator at a time, held as echelon bases.
 
-    add(g) is one step of Dimino's algorithm (Butler, Fundamental Algorithms
-    for Permutation Groups, ch. 6): with H the span so far, it multiplies
-    each coset representative (the identity first) by every generator and
-    appends the right coset H*y of each product y not yet spanned.  Right
-    cosets partition the span, so g need not normalize H.  `generators`
-    lists, in order, the added elements that were not yet spanned.
+    The ambient group has class 2 and its Frattini subgroup Phi is central
+    and elementary abelian (see algebra), so |H| = |H Phi / Phi| * |H cap Phi|.
+    add(g) reduces g modulo Phi against an echelon basis B of reduced added
+    elements, which lie in H and give the first factor.  Collecting any word
+    in B leaves a product of distinct members of B times squares and
+    commutators of members, all in Phi; with the residues of elements that
+    reduced into Phi these span H cap Phi, the second factor.  So each element
+    of H is one product of a subset of B with a subset of a GF(2) basis of
+    H cap Phi, and `members` lists them so on first use.  `generators` lists,
+    in order, the added elements that were not yet spanned.
     """
 
-    def __init__(self, space: AmbientSpace, elements: Iterable[GroupElement] = (),
-                 cap: int = DEFAULT_CLOSURE_CAP) -> None:
+    def __init__(self, space: AmbientSpace, elements: Iterable[GroupElement] = ()) -> None:
         self.space = space
-        self.cap = cap
-        self.elements: list[GroupElement] = [space.identity()]
-        self.members: set[GroupElement] = set(self.elements)
         self.generators: list[GroupElement] = []
+        self._quotient: dict[int, tuple[int, GroupElement]] = {}  # B, images mod Phi
+        self._phi: dict[int, tuple[int, GroupElement]] = {}  # H cap Phi, coordinates
         for g in elements:
             self.add(g)
 
     def add(self, g: GroupElement) -> None:
-        if g in self.members:
-            return
         if g.space != self.space:
             raise ValueError("generators live in different ambient spaces")
-        self.generators.append(g)
-        old = self.elements[:]
-        reps = old[:1]  # the identity represents H itself
-        for rep in reps:
-            for s in self.generators:
-                y = mul(rep, s)
-                if y in self.members:
-                    continue
-                if len(self.elements) + len(old) > self.cap:
-                    raise ClosureSizeError(f"closure exceeded cap of {self.cap} elements")
-                coset = [mul(h, y) for h in old]
-                self.elements.extend(coset)
-                self.members.update(coset)
-                reps.append(y)
+        before = len(self)
+        new, b = _insert(self._quotient, frattini_image(g), g)
+        if new:
+            rows = [square(b)] + [commutator(c, b) for _, c in self._quotient.values()]
+        else:
+            rows = [b]
+        for x in rows:
+            _insert(self._phi, frattini_coordinate(x), x)
+        if len(self) > before:
+            self.generators.append(g)
+            self.__dict__.pop("members", None)
+
+    @cached_property
+    def members(self) -> frozenset[GroupElement]:
+        listing = [self.space.identity()]
+        for _, x in (*self._phi.values(), *self._quotient.values()):
+            listing += [mul(y, x) for y in listing]
+        return frozenset(listing)
 
     def copy(self) -> "Span":
-        twin = Span(self.space, cap=self.cap)
-        twin.elements = self.elements[:]
-        twin.members = set(self.members)
+        twin = Span(self.space)
         twin.generators = self.generators[:]
+        twin._quotient = dict(self._quotient)
+        twin._phi = dict(self._phi)
         return twin
 
     def __contains__(self, x: GroupElement) -> bool:
         return x in self.members
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return 1 << (len(self._quotient) + len(self._phi))
+
+
+def _insert(basis: dict[int, tuple[int, GroupElement]], image: int,
+            x: GroupElement) -> tuple[bool, GroupElement]:
+    """Reduce x, packed as image, against an echelon basis {leading bit:
+    (image, member)} and add it unless it reduces to image 0.  Returns
+    whether it was added and the reduced x."""
+    while image:
+        pivot = image.bit_length()
+        if pivot not in basis:
+            basis[pivot] = (image, x)
+            return True, x
+        b_image, b = basis[pivot]
+        x = mul(x, b)
+        image ^= b_image
+    return False, x
 
 
 def closure(
@@ -198,50 +215,23 @@ def closure(
 ) -> CodeGroup:
     """Subgroup generated by the given elements, in canonical order.
 
-    The order is found first, by log2_order, so a group above the cap is
+    The order comes from the Span's basis, so a group above the cap is
     refused before any element is listed."""
     if space is None:
         if not generators:
             raise ValueError("need at least one generator or an explicit space")
         space = generators[0].space
-    if 1 << log2_order(generators) > cap:
+    span = Span(space, generators)
+    if len(span) > cap:
         raise ClosureSizeError(f"closure exceeded cap of {cap} elements")
-    span = Span(space, generators, cap)
-    return CodeGroup(space, generators, sorted(span.elements, key=sort_key))
+    return CodeGroup(space, generators, sorted(span.members, key=sort_key))
 
 
 def log2_order(generators: Iterable[GroupElement]) -> int:
-    """log2 of the order of the subgroup H the elements generate, found
-    without listing H.
-
-    The ambient group has class 2 and its Frattini subgroup Phi is central
-    and elementary abelian (see algebra), so |H| = |H Phi / Phi| * |H cap Phi|.
-    Each generator is reduced modulo Phi against an echelon basis B whose
-    members are the reduced products, so B lies in H and gives the first
-    factor.  Collecting any word in B leaves a product of distinct members
-    of B times squares and commutators of members, all in Phi; so H cap Phi
-    is spanned by those and the residues of generators that reduced into
-    Phi, and its dimension is one GF(2) rank.
-    """
-    basis: dict[int, tuple[int, GroupElement]] = {}  # pivot -> (image, member)
-    rows: list[int] = []
-    for g in generators:
-        image = frattini_image(g)
-        while image:
-            pivot = image.bit_length()
-            if pivot not in basis:
-                basis[pivot] = (image, g)
-                break
-            b_image, b = basis[pivot]
-            g = mul(g, b)
-            image ^= b_image
-        else:
-            rows.append(frattini_coordinate(g))
-    members = [b for _, b in basis.values()]
-    rows += [frattini_coordinate(square(b)) for b in members]
-    rows += [frattini_coordinate(commutator(b, c))
-             for i, b in enumerate(members) for c in members[i + 1:]]
-    return len(members) + gf2_rank(rows)
+    """log2 of the order of the subgroup the elements generate, found from
+    a Span's basis without listing the subgroup."""
+    generators = tuple(generators)
+    return len(Span(generators[0].space, generators)).bit_length() - 1 if generators else 0
 
 
 ### Binary codes #############################################################

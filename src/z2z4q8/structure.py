@@ -121,10 +121,7 @@ def shape_parameter_range(m: int, shape: str) -> list[tuple[int, int]]:
 def torsion(group: CodeGroup) -> CodeGroup:
     """Subgroup of all elements of order at most two."""
     elems = [c for c in group.elements if order(c) <= 2]
-    span = Span(group.space, elems)
-    if len(span) != len(elems):
-        raise StructureError("order-two elements do not form a subgroup")
-    return CodeGroup(group.space, span.generators, elems)
+    return _subgroup(group.space, elems, "order-two elements do not form a subgroup")
 
 
 def center(group: CodeGroup) -> CodeGroup:
@@ -132,10 +129,19 @@ def center(group: CodeGroup) -> CodeGroup:
     ident = group.space.identity()
     cen = [c for c in group.elements
            if all(commutator(c, g) == ident for g in group.generators)]
-    span = Span(group.space, cen)
-    if len(span) != len(cen):
-        raise StructureError("centralizer scan did not close into a subgroup")
-    return CodeGroup(group.space, span.generators, cen)
+    return _subgroup(group.space, cen, "centralizer scan did not close into a subgroup")
+
+
+def _subgroup(space: AmbientSpace, elems: list[GroupElement], failure: str) -> CodeGroup:
+    """elems as a CodeGroup on greedy generators, if they form a subgroup.
+    An element already spanned is skipped: a lookup costs less than a reduction."""
+    span = Span(space)
+    for c in elems:
+        if c not in span:
+            span.add(c)
+    if len(span) != len(elems):
+        raise StructureError(failure)
+    return CodeGroup(space, span.generators, elems)
 
 
 ### Shape classification #####################################################
@@ -575,7 +581,7 @@ def _match_case(group: CodeGroup, report: StructureReport,
         s1 = ss[0]
         a_grp = report.abelian_max
         r_part = (a_grp.elements if prof.tau_bar == prof.tau
-                  else Span(group.space, report.std_gens.x + rs[1:]).elements)
+                  else Span(group.space, report.std_gens.x + rs[1:]).members)
         if any(all(swapper(mul(b, s1), a) in group for a in a_grp.generators)
                for b in r_part):
             return "4a"

@@ -7,6 +7,10 @@ a^i b^j; every component operation is a lookup in a table generated once
 from the defining relations b*a*b^-1 = a^-1 and b^2 = a^2.
 """
 
+from itertools import product
+
+from z2z4q8.algebra import GroupElement
+
 Q8_NAMES = ("1", "a", "a2", "a3", "b", "ab", "a2b", "a3b")
 
 
@@ -143,3 +147,31 @@ def render(x):
     parts = (" ".join(str(v) for v in x[0]), " ".join(str(v) for v in x[1]),
              " ".join(Q8_NAMES[v] for v in x[2]))
     return " | ".join(parts).strip()
+
+
+### Helpers over package elements, used by tests only ########################
+
+
+def elements_of(space):
+    """All |space| package elements, in mixed-radix order (first component
+    fastest)."""
+    ranges = [range(2)] * space.k1 + [range(4)] * space.k2 + [range(8)] * space.k3
+    k1, k2 = space.k1, space.k2
+    for combo in product(*reversed(ranges)):
+        vals = combo[::-1]
+        yield GroupElement(space, vals[:k1], vals[k1:k1 + k2], vals[k1 + k2:])
+
+
+def m_set(x):
+    """0-based indices of the components of a package element that carry an
+    order-two entry.  Only defined for elements of order at most two; raises
+    ValueError on order-four input."""
+    z2, z4, q8 = entries(x)
+    if order((z2, z4, q8)) == 4:
+        raise ValueError("m_set is undefined for elements of order four")
+    return {t for t, v in enumerate(z2 + z4 + q8) if v}
+
+
+def same_elements(a, b):
+    """Whether two CodeGroups hold the same elements."""
+    return set(a.elements) == set(b.elements)

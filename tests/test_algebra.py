@@ -9,16 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_algebra import Q8_MUL
+from reference_algebra import Q8_MUL, elements_of, m_set
 from z2z4q8.algebra import (
     AmbientSpace,
     commutator,
-    elements_of,
     frattini_coordinate,
     frattini_image,
     gray,
     inverse,
-    m_set,
     mul,
     order,
     parse_element,

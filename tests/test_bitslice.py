@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_algebra as ref
+from reference_algebra import elements_of
 from z2z4q8.algebra import (
     AmbientSpace,
     GroupElement,
     commutator,
-    elements_of,
     frattini_coordinate,
     frattini_image,
     gray,

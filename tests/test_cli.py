@@ -308,7 +308,7 @@ def test_export_sizes_input_before_listing_it(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("export listed an oversized group")
 
-    monkeypatch.setattr(z2z4q8.code, "Span", refuse)
+    monkeypatch.setattr(z2z4q8.code.Span, "members", property(refuse))
     big = tmp_path / "q8-7.gens"
     rows = [" ".join(q if j == i else "1" for j in range(7))
             for i in range(7) for q in ("a", "b")]

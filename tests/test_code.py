@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_code import hadamard_diagnosis, kernel_by_translation
+from reference_code import DiminoSpan, hadamard_diagnosis, kernel_by_translation
 
 import z2z4q8.code
 from z2z4q8.algebra import AmbientSpace, gray, inverse, mul, render_element
@@ -92,15 +92,18 @@ SPAN_SPACES = [AmbientSpace(0, 0, 2), AmbientSpace(0, 0, 3),
                AmbientSpace(1, 1, 2), AmbientSpace(2, 2, 1)]
 
 
-@st.composite
-def _generator_lists(draw, spaces=SPAN_SPACES, max_size=5):
-    space = draw(st.sampled_from(spaces))
-    element = st.builds(
+def _elements(space):
+    return st.builds(
         lambda z2, z4, q8: space.element(z2=z2, z4=z4, q8=q8),
         st.tuples(*[st.integers(0, 1)] * space.k1),
         st.tuples(*[st.integers(0, 3)] * space.k2),
         st.tuples(*[st.integers(0, 7)] * space.k3))
-    return space, draw(st.lists(element, max_size=max_size))
+
+
+@st.composite
+def _generator_lists(draw, spaces=SPAN_SPACES, max_size=5):
+    space = draw(st.sampled_from(spaces))
+    return space, draw(st.lists(_elements(space), max_size=max_size))
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,13 +117,36 @@ def test_span_matches_worklist_closure(case, cap):
             reached = _worklist_closure(expected_gens, space)
     if len(reached) > cap:
         with pytest.raises(ClosureSizeError):
-            Span(space, gens, cap)
+            closure(gens, space, cap)
         return
-    span = Span(space, gens, cap)
+    assert set(closure(gens, space, cap).elements) == reached
+    span = Span(space, gens)
     assert span.members == reached
-    assert len(span) == len(reached)  # no element listed twice
+    assert len(span) == len(reached)
     assert len(span) & (len(span) - 1) == 0
     assert span.generators == expected_gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists(max_size=4), st.data())
+def test_span_agrees_with_dimino_reference(case, data):
+    space, gens = case
+    g = data.draw(_elements(space))
+    span, ref = Span(space, gens), DiminoSpan(space, gens)
+    assert span.generators == ref.generators
+    probes = data.draw(st.lists(st.sampled_from(ref.elements) | _elements(space),
+                                min_size=1, max_size=8))
+    assert [x in span for x in probes] == [x in ref for x in probes]
+    listed, size = span.members, len(span)
+    twin = span.copy()
+    twin.add(g)
+    assert len(span) == size and span.members == listed
+    span.add(g)  # span was listed before this add
+    ref.add(g)
+    for grown in (span, twin):
+        assert grown.members == ref.members
+        assert len(grown) == len(ref)
+        assert grown.generators == ref.generators
 
 
 def test_span_extends_by_non_normalizing_elements():
@@ -136,15 +162,15 @@ def test_span_extends_by_non_normalizing_elements():
         assert len(twin) == 16 and twin.generators == [h, g]
     # There the product set <h><g> has only 8 elements: extending a span by
     # the powers of g alone is wrong when g does not normalize it.
-    assert len({mul(x, y) for x in Span(space, [h]).elements
-                for y in Span(space, [g]).elements}) == 8
+    assert len({mul(x, y) for x in Span(space, [h]).members
+                for y in Span(space, [g]).members}) == 8
 
 
 @settings(max_examples=400, deadline=None)
 @given(_generator_lists(SPAN_SPACES + [AmbientSpace(0, 3, 2)], max_size=6))
 def test_log2_order_matches_span(case):
     space, gens = case
-    assert 1 << log2_order(gens) == len(Span(space, gens))
+    assert 1 << log2_order(gens) == len(DiminoSpan(space, gens))
 
 
 def test_codegroup_membership(sample_codes):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_algebra import same_elements
 from reference_construct import lift_elementwise
 
 import z2z4q8.construct as construct
@@ -128,7 +129,7 @@ def test_lift_preserves_group_structure():
     base = base_hadamard(BaseHadamardSpec(1, 2, True))
     lifted = lift_to_A(base, "2")
     regen = closure(lifted.generators, lifted.space)
-    assert regen.same_elements(lifted)
+    assert same_elements(regen, lifted)
 
 
 def _lift_cases():
