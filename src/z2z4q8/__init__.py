@@ -39,7 +39,6 @@ from .code import (
     rank_gf2,
     rank_kernel_report,
     read_generators,
-    write_generators,
 )
 from .construct import (
     BaseHadamardSpec,
@@ -54,8 +53,6 @@ from .construct import (
     construct_for,
     lift_to_A,
     make_plan,
-    parse_plan,
-    plan_text,
 )
 from .reference import (
     REFERENCE_FAMILIES,

@@ -36,7 +36,6 @@ from .code import (
     is_hadamard,
     kernel_bruteforce,
     kernel_by_swappers,
-    log2_order,
     rank_by_span_group,
     rank_gf2,
     read_generators,
@@ -154,9 +153,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # Size the group before listing it: an untrusted file may generate far
     # more than the 2n elements of a Hadamard code.
-    verdict = size_check(space.n, 1 << log2_order(gens))
+    group = CodeGroup(space, gens)
+    verdict = size_check(space.n, len(group))
     if verdict:
-        group = closure(gens, space)
         code = group.gray_image
         verdict = is_hadamard(code)
     record("hadamard", bool(verdict), verdict.detail)

@@ -1,10 +1,11 @@
 """Subgroups, Gray-image codes, Hadamard checks, rank and kernel.
 
-Every subgroup is built as a Span: echelon bases of it modulo the Frattini
-subgroup and of its part inside that subgroup.  Its order comes from those
-bases and its elements are listed only when membership is asked, so closure
-refuses an oversized group before listing it, and log2_order sizes the span
-group behind the group-side rank oracle, 2^r elements, without listing it.
+A subgroup is a CodeGroup, built from its generators alone and held as
+echelon bases: one of it modulo the Frattini subgroup and one of its part
+inside that subgroup.  Its order comes from those bases and its elements are
+listed only when first asked, so closure refuses an oversized group before
+listing it, and log2_order sizes the span group behind the group-side rank
+oracle, 2^r elements, without listing it.
 
 Rank and kernel are each computed by two independent routes (plain GF(2)
 linear algebra on the binary codewords vs. group-theoretic criteria via
@@ -20,10 +21,9 @@ over all pairs of codewords runs unless the pairwise clause fails.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     AmbientSpace,
@@ -48,7 +48,6 @@ __all__ = [
     "ClosureSizeError",
     "OracleMismatch",
     "ParseError",
-    "Span",
     "closure",
     "log2_order",
     "size_check",
@@ -59,7 +58,6 @@ __all__ = [
     "rank_by_span_group",
     "rank_kernel_report",
     "gf2_rank",
-    "write_generators",
     "read_generators",
     "export_binary",
 ]
@@ -93,48 +91,12 @@ def gf2_rank(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
-### Subgroup enumeration ####################################################
+### Subgroups ################################################################
 
 
 class CodeGroup:
-    """A subgroup of an ambient space, fully enumerated.
-
-    Elements are ordered lexicographically on their canonical text form;
-    that order is the reference order for every greedy scan elsewhere.
-    """
-
-    def __init__(
-        self,
-        space: AmbientSpace,
-        generators: Sequence[GroupElement],
-        elements: Sequence[GroupElement],
-    ) -> None:
-        self.space = space
-        self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self._member_set = frozenset(self.elements)
-
-    def __contains__(self, x: GroupElement) -> bool:
-        return x in self._member_set
-
-    def __iter__(self) -> Iterator[GroupElement]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def log2_order(self) -> int:
-        return len(self.elements).bit_length() - 1
-
-    @cached_property
-    def gray_image(self) -> "BinaryCode":
-        """The Gray image, built on first use and shared by every check."""
-        return BinaryCode.from_group(self)
-
-
-class Span:
-    """A subgroup H grown one generator at a time, held as echelon bases.
+    """A subgroup H of an ambient space, given by its generators and held as
+    echelon bases.
 
     The ambient group has class 2 and its Frattini subgroup Phi is central
     and elementary abelian (see algebra), so |H| = |H Phi / Phi| * |H cap Phi|.
@@ -144,32 +106,48 @@ class Span:
     commutators of members, all in Phi; with the residues of elements that
     reduced into Phi these span H cap Phi, the second factor.  So each element
     of H is one product of a subset of B with a subset of a GF(2) basis of
-    H cap Phi, and `members` lists them so on first use.  `generators` lists,
-    in order, the added elements that were not yet spanned.
+    H cap Phi.  The order comes from the bases; `members`, `elements` (sorted
+    by sort_key, the reference order of every greedy scan elsewhere) and
+    `gray_image` are listed on first use.  add extends a listed `members` by
+    the basis elements it inserts and drops the other two.  `generators` is
+    every added element, in order.
     """
 
-    def __init__(self, space: AmbientSpace, elements: Iterable[GroupElement] = ()) -> None:
+    def __init__(self, space: AmbientSpace, generators: Iterable[GroupElement] = ()) -> None:
         self.space = space
-        self.generators: list[GroupElement] = []
+        self.generators: tuple[GroupElement, ...] = ()
         self._quotient: dict[int, tuple[int, GroupElement]] = {}  # B, images mod Phi
         self._phi: dict[int, tuple[int, GroupElement]] = {}  # H cap Phi, coordinates
-        for g in elements:
+        for g in generators:
             self.add(g)
 
     def add(self, g: GroupElement) -> None:
         if g.space != self.space:
             raise ValueError("generators live in different ambient spaces")
-        before = len(self)
+        self.generators += (g,)
         new, b = _insert(self._quotient, frattini_image(g), g)
         if new:
+            inserted = [b]
             rows = [square(b)] + [commutator(c, b) for _, c in self._quotient.values()]
         else:
-            rows = [b]
+            inserted, rows = [], [b]
         for x in rows:
-            _insert(self._phi, frattini_coordinate(x), x)
-        if len(self) > before:
-            self.generators.append(g)
-            self.__dict__.pop("members", None)
+            added, y = _insert(self._phi, frattini_coordinate(x), x)
+            if added:
+                inserted.append(y)
+        if not inserted:
+            return
+        cached = self.__dict__
+        cached.pop("elements", None)
+        cached.pop("gray_image", None)
+        if "members" in cached:
+            # Reordering the factors of a subset product changes it by
+            # commutators, which H cap Phi holds; so the grown H is the old
+            # listing times the subset products of the inserted elements.
+            listing = list(cached["members"])
+            for x in inserted:
+                listing += [mul(y, x) for y in listing]
+            cached["members"] = frozenset(listing)
 
     @cached_property
     def members(self) -> frozenset[GroupElement]:
@@ -178,18 +156,35 @@ class Span:
             listing += [mul(y, x) for y in listing]
         return frozenset(listing)
 
-    def copy(self) -> "Span":
-        twin = Span(self.space)
-        twin.generators = self.generators[:]
-        twin._quotient = dict(self._quotient)
-        twin._phi = dict(self._phi)
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        return tuple(sorted(self.members, key=sort_key))
+
+    @cached_property
+    def gray_image(self) -> "BinaryCode":
+        """The Gray image, built on first use and shared by every check."""
+        return BinaryCode.from_group(self)
+
+    def copy(self) -> "CodeGroup":
+        """A twin to grow apart; it shares the listings, which add replaces
+        rather than changes."""
+        twin = CodeGroup(self.space)
+        twin.__dict__.update(self.__dict__, _quotient=dict(self._quotient),
+                             _phi=dict(self._phi))
         return twin
 
     def __contains__(self, x: GroupElement) -> bool:
         return x in self.members
 
+    def __iter__(self) -> Iterator[GroupElement]:
+        return iter(self.elements)
+
     def __len__(self) -> int:
-        return 1 << (len(self._quotient) + len(self._phi))
+        return 1 << self.log2_order
+
+    @property
+    def log2_order(self) -> int:
+        return len(self._quotient) + len(self._phi)
 
 
 def _insert(basis: dict[int, tuple[int, GroupElement]], image: int,
@@ -213,25 +208,23 @@ def closure(
     space: AmbientSpace | None = None,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> CodeGroup:
-    """Subgroup generated by the given elements, in canonical order.
-
-    The order comes from the Span's basis, so a group above the cap is
-    refused before any element is listed."""
+    """Subgroup generated by the given elements.  Its order comes from the
+    bases, so a group above the cap is refused before any element is listed."""
     if space is None:
         if not generators:
             raise ValueError("need at least one generator or an explicit space")
         space = generators[0].space
-    span = Span(space, generators)
-    if len(span) > cap:
+    group = CodeGroup(space, generators)
+    if len(group) > cap:
         raise ClosureSizeError(f"closure exceeded cap of {cap} elements")
-    return CodeGroup(space, generators, sorted(span.members, key=sort_key))
+    return group
 
 
 def log2_order(generators: Iterable[GroupElement]) -> int:
     """log2 of the order of the subgroup the elements generate, found from
-    a Span's basis without listing the subgroup."""
+    its bases without listing it."""
     generators = tuple(generators)
-    return len(Span(generators[0].space, generators)).bit_length() - 1 if generators else 0
+    return CodeGroup(generators[0].space, generators).log2_order if generators else 0
 
 
 ### Binary codes #############################################################
@@ -261,7 +254,7 @@ class BinaryCode:
 
     @classmethod
     def from_group(cls, group: CodeGroup) -> "BinaryCode":
-        code = cls(group.space.n, map(gray, group.elements))
+        code = cls(group.space.n, map(gray, group.members))
         if len(code.members) != len(code):
             raise ValueError("Gray map is not injective on this subgroup")
         return code
@@ -450,18 +443,11 @@ def rank_kernel_report(group: CodeGroup) -> RankKernelReport:
 ### File formats #############################################################
 
 
-def write_generators(group: CodeGroup, out: TextIO) -> None:
+def generators_text(group: CodeGroup) -> str:
     """Header `space k1 k2 k3`, then one generator per line."""
     sp = group.space
-    out.write(f"space {sp.k1} {sp.k2} {sp.k3}\n")
-    for g in group.generators:
-        out.write(render_element(g) + "\n")
-
-
-def generators_text(group: CodeGroup) -> str:
-    buf = io.StringIO()
-    write_generators(group, buf)
-    return buf.getvalue()
+    lines = [f"space {sp.k1} {sp.k2} {sp.k3}", *map(render_element, group.generators)]
+    return "\n".join(lines) + "\n"
 
 
 def read_generators(text: str) -> tuple[AmbientSpace, list[GroupElement]]:

@@ -16,7 +16,7 @@ from functools import cache
 from math import prod
 
 from .algebra import AmbientSpace, GroupElement, order, square
-from .code import CodeGroup, ParseError, closure, is_hadamard
+from .code import CodeGroup, closure, is_hadamard
 from .structure import (
     SHAPES,
     StructureReport,
@@ -39,8 +39,6 @@ __all__ = [
     "all_allowable_pairs",
     "construct_for",
     "build_from_plan",
-    "plan_text",
-    "parse_plan",
 ]
 
 class ConstructionError(ValueError):
@@ -261,34 +259,6 @@ class ConstructionPlan:
     def __post_init__(self) -> None:
         _target_case(self.m, self.shape, self.sigma, self.tau,
                      self.target_k, self.target_r)
-
-
-def plan_text(plan: ConstructionPlan) -> str:
-    return (f"m={plan.m}\nshape={plan.shape}\nsigma={plan.sigma}\ntau={plan.tau}\n"
-            f"k={plan.target_k}\nr={plan.target_r}\n"
-            f"dial={','.join(str(i) for i in plan.dial)}\n")
-
-
-def parse_plan(text: str) -> ConstructionPlan:
-    fields: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"plan line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    try:
-        dial = tuple(int(t) for t in fields.get("dial", "").split(",") if t)
-        return ConstructionPlan(
-            m=int(fields["m"]), shape=fields["shape"], sigma=int(fields["sigma"]),
-            tau=int(fields["tau"]), target_k=int(fields["k"]),
-            target_r=int(fields["r"]), dial=dial)
-    except KeyError as missing:
-        raise ParseError(f"plan file lacks key {missing}") from None
-    except ValueError as bad:
-        raise ParseError(f"malformed plan value: {bad}") from None
 
 
 ### Outside generators #######################################################

@@ -6,10 +6,13 @@ abelian normal subgroup.  From that chain the group is classified into one of
 seven shape labels, rewritten into a standard generating family
 (x_1..x_sigma; r_1..r_tau; s_1..s_upsilon), and measured: the rank and kernel
 dimension of its binary Gray image follow from swapper membership tests on the
-standard generators.  The report keeps T, A, the profile, the shape and the
-standard generators; Z is used inside standardize and the R part of case 4a
-is built where that case is tested.  CheckResult is defined in the code
-module and re-exported here.
+standard generators.  Each subgroup is a CodeGroup grown from generators: T
+and Z on an irredundant greedy choice of their elements in canonical order,
+A as the span the witness search grew from Z (the group itself when it is
+abelian).  The report keeps T, A, the profile, the shape and the standard
+generators; Z is used inside standardize and the R part of case 4a is built
+where that case is tested.  CheckResult is defined in the code module and
+re-exported here.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .algebra import (
     square,
     swapper,
 )
-from .code import BinaryCode, CheckResult, CodeGroup, Span, is_hadamard, rank_kernel_report
+from .code import BinaryCode, CheckResult, CodeGroup, is_hadamard, rank_kernel_report
 
 __all__ = [
     "StructureError",
@@ -133,15 +136,16 @@ def center(group: CodeGroup) -> CodeGroup:
 
 
 def _subgroup(space: AmbientSpace, elems: list[GroupElement], failure: str) -> CodeGroup:
-    """elems as a CodeGroup on greedy generators, if they form a subgroup.
-    An element already spanned is skipped: a lookup costs less than a reduction."""
-    span = Span(space)
+    """The subgroup grown from elems, if they form one.  An element already
+    spanned is skipped, so the generators are an irredundant greedy choice,
+    and a lookup costs less than a reduction."""
+    group = CodeGroup(space)
     for c in elems:
-        if c not in span:
-            span.add(c)
-    if len(span) != len(elems):
+        if c not in group:
+            group.add(c)
+    if len(group) != len(elems):
         raise StructureError(failure)
-    return CodeGroup(space, span.generators, elems)
+    return group
 
 
 ### Shape classification #####################################################
@@ -251,12 +255,12 @@ class MeasureResult:
 ### Standardization ##########################################################
 
 
-def _abelian_extensions(group: CodeGroup, base_span: Span, picks: int,
-                        avoid_u_square: bool) -> Iterator[tuple[tuple[GroupElement, ...], Span]]:
-    """Depth-first scan over commuting order-four extensions of base_span.
+def _abelian_extensions(group: CodeGroup, base: CodeGroup, picks: int, avoid_u_square: bool
+                        ) -> Iterator[tuple[tuple[GroupElement, ...], CodeGroup]]:
+    """Depth-first scan over commuting order-four extensions of base.
 
     Yields (chosen, span) for every way (in canonical scan order) of
-    enlarging base_span by `picks` pairwise-commuting order-four elements,
+    enlarging base by `picks` pairwise-commuting order-four elements,
     optionally refusing any choice whose squares would span the all-ones
     element u.
     """
@@ -265,7 +269,7 @@ def _abelian_extensions(group: CodeGroup, base_span: Span, picks: int,
     u = space.all_ones()
     elems = group.elements
 
-    def rec(chosen: list[GroupElement], span: Span, sq_span: Span, start: int):
+    def rec(chosen: list[GroupElement], span: CodeGroup, sq_span: CodeGroup, start: int):
         if len(chosen) == picks:
             yield tuple(chosen), span
             return
@@ -283,7 +287,7 @@ def _abelian_extensions(group: CodeGroup, base_span: Span, picks: int,
             new_span.add(c)
             yield from rec(chosen + [c], new_span, new_sq, i + 1)
 
-    yield from rec([], base_span, Span(space), 0)
+    yield from rec([], base, CodeGroup(space), 0)
 
 
 def _first(candidates: Iterable[GroupElement], cond) -> GroupElement | None:
@@ -297,7 +301,7 @@ def _greedy_square_independent(pool: Sequence[GroupElement], space: AmbientSpace
                                count: int, seeded: Iterable[GroupElement]) -> list[GroupElement]:
     """Pick `count` order-four elements whose squares are independent of the
     seeded torsion span (and of each other)."""
-    sq_span = Span(space, seeded)
+    sq_span = CodeGroup(space, seeded)
     picked: list[GroupElement] = []
     for c in pool:
         if len(picked) == count:
@@ -338,18 +342,17 @@ def standardize(group: CodeGroup) -> StructureReport:
             rs.append(r1)
         rs.extend(_greedy_square_independent(
             order4, space, tau - len(rs), [square(c) for c in rs]))
-        a_sorted = group.elements
+        a_group = group
         ss: tuple[GroupElement, ...] = ()
     else:
         picks = tau - delta
         if picks < 0:
             raise StructureError(f"impossible layer sizes: tau={tau}, delta={delta}")
         found = None
-        for chosen, a_span in _abelian_extensions(
-                group, Span(space, z_group.generators), picks,
-                avoid_u_square=not SHAPES[shape].u_square):
-            a_sorted = [c for c in group.elements if c in a_span]
-            outside = [c for c in group.elements if c not in a_span]
+        for chosen, a_group in _abelian_extensions(
+                group, z_group, picks, avoid_u_square=not SHAPES[shape].u_square):
+            a_sorted = [c for c in group.elements if c in a_group]
+            outside = [c for c in group.elements if c not in a_group]
             if shape == "2":
                 found = _witness_shape2(a_sorted, outside, u, tau)
             elif shape == "3":
@@ -359,7 +362,7 @@ def standardize(group: CodeGroup) -> StructureReport:
             elif shape == "4*":
                 found = _witness_shape4star(z_group, chosen, outside, ident, u, tau)
             else:
-                found = _witness_shape5(chosen, a_span, outside, ident, u, tau)
+                found = _witness_shape5(chosen, a_group, outside, ident, u, tau)
             if found is not None:
                 break
         if found is None:
@@ -370,8 +373,7 @@ def standardize(group: CodeGroup) -> StructureReport:
     tau_bar = tau - 1 if rs and square(rs[0]) == u else tau
     profile = CodeProfile(m=m, sigma=sigma, tau=tau, tau_bar=tau_bar,
                           upsilon=upsilon, delta=delta, rho=rho)
-    a_group = CodeGroup(space, tuple(t_group.generators) + tuple(rs), a_sorted)
-    std = StandardGenerators(x=tuple(t_group.generators), r=tuple(rs), s=tuple(ss))
+    std = StandardGenerators(x=t_group.generators, r=tuple(rs), s=tuple(ss))
     report = StructureReport(torsion=t_group, abelian_max=a_group, profile=profile,
                              shape=shape, std_gens=std)
     _validate_report(group, report)
@@ -430,7 +432,7 @@ def _witness_shape4star(z_group, chosen, outside, ident, u, tau):
     return [r1, c1], (s1,)
 
 
-def _witness_shape5(chosen, a_span, outside, ident, u, tau):
+def _witness_shape5(chosen, a_group, outside, ident, u, tau):
     if tau != 2 or len(chosen) != 2:
         raise StructureError(f"shape 5 needs tau = 2, got tau={tau}")
     v, w = chosen
@@ -444,7 +446,7 @@ def _witness_shape5(chosen, a_span, outside, ident, u, tau):
                 and commutator(r2, c) == r2sq)
     if s1 is None:
         return None
-    extended = a_span.copy()
+    extended = a_group.copy()
     extended.add(s1)
     s2 = _first(outside, lambda c: c not in extended and square(c) == r2sq
                 and commutator(s1, c) == ident and commutator(r1, c) == r2sq
@@ -456,11 +458,10 @@ def _witness_shape5(chosen, a_span, outside, ident, u, tau):
 
 def is_normal_subgroup(group: CodeGroup, sub: CodeGroup) -> bool:
     """Conjugation test over generators of both groups."""
-    members = set(sub.elements)
     for g in group.generators:
         gi = inverse(g)
         for h in sub.generators:
-            if mul(mul(g, h), gi) not in members:
+            if mul(mul(g, h), gi) not in sub:
                 return False
     return True
 
@@ -472,7 +473,7 @@ def _validate_report(group: CodeGroup, report: StructureReport) -> None:
     std = report.std_gens
     prof = report.profile
 
-    span = Span(space, std.x)
+    span = CodeGroup(space, std.x)
     if len(span) != len(report.torsion) or any(c not in report.torsion for c in std.x):
         raise StructureError("x generators do not span the torsion subgroup")
     for c in std.r + std.s:
@@ -482,10 +483,10 @@ def _validate_report(group: CodeGroup, report: StructureReport) -> None:
     for r1, r2 in combinations(std.r, 2):
         if commutator(r1, r2) != ident:
             raise StructureError("r generators do not commute")
-    if u in Span(space, [square(c) for c in std.r]):
+    if u in CodeGroup(space, [square(c) for c in std.r]):
         if not std.r or square(std.r[0]) != u:
             raise StructureError("u is spanned by r squares but r1^2 != u")
-        if u in Span(space, [square(c) for c in std.r[1:]]):
+        if u in CodeGroup(space, [square(c) for c in std.r[1:]]):
             raise StructureError("u is spanned by the squares of r2..r_tau")
     if prof.upsilon == 2:
         s1, s2 = std.s
@@ -499,7 +500,7 @@ def _validate_report(group: CodeGroup, report: StructureReport) -> None:
     a_grp = report.abelian_max
     if len(a_grp) * 2 ** prof.upsilon != len(group):
         raise StructureError("abelian part has the wrong index")
-    if not set(report.torsion.elements) <= set(a_grp.elements):
+    if any(x not in a_grp for x in report.torsion.generators):
         raise StructureError("abelian part does not contain the torsion subgroup")
     if not is_normal_subgroup(group, a_grp):
         raise StructureError("abelian part is not normal")
@@ -580,10 +581,10 @@ def _match_case(group: CodeGroup, report: StructureReport,
         # R: the abelian part, or the span of x, r2..r_tau when r1^2 = u.
         s1 = ss[0]
         a_grp = report.abelian_max
-        r_part = (a_grp.elements if prof.tau_bar == prof.tau
-                  else Span(group.space, report.std_gens.x + rs[1:]).members)
+        r_part = (a_grp if prof.tau_bar == prof.tau
+                  else CodeGroup(group.space, report.std_gens.x + rs[1:]))
         if any(all(swapper(mul(b, s1), a) in group for a in a_grp.generators)
-               for b in r_part):
+               for b in r_part.members):
             return "4a"
         if prof.tau_bar == prof.tau - 1 and swapper(s1, rs[0]) in group:
             return "4b"
@@ -675,7 +676,7 @@ def verify_duplication(report: StructureReport) -> CheckResult:
     space = a_grp.space
     if prof.upsilon == 1:
         n = space.n
-        words = [gray(c) for c in a_grp.elements]
+        words = [gray(c) for c in a_grp.members]
         keep, leftover = _pair_columns(_binary_columns(n, words))
         if leftover:
             return CheckResult(False, f"columns {leftover} have no duplicate partner")
@@ -689,7 +690,7 @@ def verify_duplication(report: StructureReport) -> CheckResult:
     # upsilon == 2: quaternion columns pair up and collapse to a Z4 code.
     if space.k1 or space.k2:
         return CheckResult(False, "quadruplication expects a pure Q8 ambient")
-    rows = [c.q8 for c in a_grp.elements]
+    rows = [c.q8 for c in a_grp.members]
     keep, leftover = _pair_columns(zip(*rows))
     if leftover:
         return CheckResult(False, f"Q8 columns {leftover} have no duplicate partner")

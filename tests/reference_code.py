@@ -7,9 +7,9 @@ Hadamard check with the pairwise-distance clause run over all pairs of
 words, in word order.  These are the references for BinaryCode.kernel_cosets,
 kernel_bruteforce and is_hadamard.
 
-The coset-by-coset subgroup enumeration (Dimino's algorithm) that Span's
-echelon basis replaced: the reference for Span, log2_order and
-rank_by_span_group.
+The coset-by-coset subgroup enumeration (Dimino's algorithm) that the
+echelon bases of CodeGroup replaced: the reference for CodeGroup's
+membership, order and listings, log2_order and rank_by_span_group.
 """
 
 from z2z4q8.algebra import mul

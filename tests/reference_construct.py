@@ -1,13 +1,12 @@
 """The element-by-element lift that construct.lift_to_A replaced.
 
 Kept as the oracle lift_to_A is cross-checked against: every element of the
-base code is mapped entrywise into a target space chosen per shape, the
-images are checked to be distinct, and the group is their sorted list.
-lift_to_A maps only the generators and closes them.
+base code is mapped entrywise into a target space chosen per shape and the
+images are checked to be distinct.  lift_to_A maps only the generators and
+closes them.
 """
 
-from z2z4q8.algebra import AmbientSpace, sort_key
-from z2z4q8.code import CodeGroup
+from z2z4q8.algebra import AmbientSpace
 
 
 def _lift_element(c, shape, target, half):
@@ -28,7 +27,8 @@ def _lift_element(c, shape, target, half):
 
 
 def lift_elementwise(base, shape):
-    """The image of every base element, in a target space chosen per shape."""
+    """(target space, images of the generators, set of images of every base
+    element), the target space chosen per shape."""
     space = base.space
     half = ()
     if shape == "2":
@@ -42,8 +42,8 @@ def lift_elementwise(base, shape):
         target = AmbientSpace(0, 2 * len(half), space.k2 - len(half))
     else:
         target = AmbientSpace(0, 0, 2 * space.k2)
-    mapped = [_lift_element(c, shape, target, half) for c in base.elements]
-    if len(set(mapped)) != len(base):
+    mapped = {_lift_element(c, shape, target, half) for c in base.elements}
+    if len(mapped) != len(base):
         raise ValueError("lift failed to stay injective")
     gens = tuple(_lift_element(g, shape, target, half) for g in base.generators)
-    return CodeGroup(target, gens, sorted(mapped, key=sort_key))
+    return target, gens, mapped

@@ -180,6 +180,14 @@ def test_export_gens_identity(tmp_path, capsys):
     assert dst.read_text() == src.read_text()
 
 
+def test_export_gens_keeps_repeated_generators(tmp_path, capsys):
+    # Every generator line is re-emitted, one already spanned or repeated too.
+    src = tmp_path / "repeats.gens"
+    src.write_text("space 0 0 1\n| | a\n| | b\n| | a\n| | a2\n")
+    assert main(["export", "--in", str(src), "--format", "gens"]) == EXIT_OK
+    assert capsys.readouterr().out == "space 0 0 1\n|  | a\n|  | b\n|  | a\n|  | a2\n"
+
+
 def test_seed_corpus_and_measure_reference(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert main(["seed-corpus", "--out", str(corpus)]) == EXIT_OK
@@ -290,7 +298,7 @@ def test_verify_sizes_input_before_listing_it(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify listed an oversized group")
 
-    monkeypatch.setattr(z2z4q8.cli, "closure", refuse)
+    monkeypatch.setattr(z2z4q8.code.CodeGroup, "members", property(refuse))
     for k in (5, 7):
         big = tmp_path / f"q8-{k}.gens"
         rows = [" ".join(q if j == i else "1" for j in range(k))
@@ -308,7 +316,7 @@ def test_export_sizes_input_before_listing_it(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("export listed an oversized group")
 
-    monkeypatch.setattr(z2z4q8.code.Span, "members", property(refuse))
+    monkeypatch.setattr(z2z4q8.code.CodeGroup, "members", property(refuse))
     big = tmp_path / "q8-7.gens"
     rows = [" ".join(q if j == i else "1" for j in range(7))
             for i in range(7) for q in ("a", "b")]

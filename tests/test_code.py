@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from reference_code import DiminoSpan, hadamard_diagnosis, kernel_by_translation
 
 import z2z4q8.code
-from z2z4q8.algebra import AmbientSpace, gray, inverse, mul, render_element
+from z2z4q8.algebra import AmbientSpace, gray, inverse, mul, render_element, sort_key
 from z2z4q8.code import (
     BinaryCode,
     ClosureSizeError,
+    CodeGroup,
     OracleMismatch,
     ParseError,
-    Span,
     closure,
     export_binary,
     generators_text,
@@ -110,21 +110,17 @@ def _generator_lists(draw, spaces=SPAN_SPACES, max_size=5):
 @given(_generator_lists(), st.integers(1, 600))
 def test_span_matches_worklist_closure(case, cap):
     space, gens = case
-    expected_gens, reached = [], {space.identity()}
-    for g in gens:
-        if g not in reached:
-            expected_gens.append(g)
-            reached = _worklist_closure(expected_gens, space)
+    reached = _worklist_closure(gens, space)
     if len(reached) > cap:
         with pytest.raises(ClosureSizeError):
             closure(gens, space, cap)
         return
     assert set(closure(gens, space, cap).elements) == reached
-    span = Span(space, gens)
+    span = CodeGroup(space, gens)
     assert span.members == reached
     assert len(span) == len(reached)
     assert len(span) & (len(span) - 1) == 0
-    assert span.generators == expected_gens
+    assert span.generators == tuple(gens)  # every element added, spanned or not
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,8 +128,8 @@ def test_span_matches_worklist_closure(case, cap):
 def test_span_agrees_with_dimino_reference(case, data):
     space, gens = case
     g = data.draw(_elements(space))
-    span, ref = Span(space, gens), DiminoSpan(space, gens)
-    assert span.generators == ref.generators
+    span, ref = CodeGroup(space, gens), DiminoSpan(space, gens)
+    assert span.generators == tuple(gens)
     probes = data.draw(st.lists(st.sampled_from(ref.elements) | _elements(space),
                                 min_size=1, max_size=8))
     assert [x in span for x in probes] == [x in ref for x in probes]
@@ -146,24 +142,24 @@ def test_span_agrees_with_dimino_reference(case, data):
     for grown in (span, twin):
         assert grown.members == ref.members
         assert len(grown) == len(ref)
-        assert grown.generators == ref.generators
+        assert grown.generators == tuple(gens) + (g,)
 
 
 def test_span_extends_by_non_normalizing_elements():
     space = AmbientSpace(0, 0, 2)
     for first, second in ((("a", "b"), ("b", "1")), (("a", "a"), ("b", "a"))):
         h, g = space.element(q8=first), space.element(q8=second)
-        span = Span(space, [h])
+        span = CodeGroup(space, [h])
         assert mul(mul(g, h), inverse(g)) not in span  # g does not normalize <h>
         twin = span.copy()
         twin.add(g)
         assert len(span) == 4 and g not in span
         assert twin.members == _worklist_closure([h, g], space)
-        assert len(twin) == 16 and twin.generators == [h, g]
+        assert len(twin) == 16 and twin.generators == (h, g)
     # There the product set <h><g> has only 8 elements: extending a span by
     # the powers of g alone is wrong when g does not normalize it.
-    assert len({mul(x, y) for x in Span(space, [h]).members
-                for y in Span(space, [g]).members}) == 8
+    assert len({mul(x, y) for x in CodeGroup(space, [h]).members
+                for y in CodeGroup(space, [g]).members}) == 8
 
 
 @settings(max_examples=400, deadline=None)
@@ -171,6 +167,23 @@ def test_span_extends_by_non_normalizing_elements():
 def test_log2_order_matches_span(case):
     space, gens = case
     assert 1 << log2_order(gens) == len(DiminoSpan(space, gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generator_lists(max_size=3), st.data())
+def test_listings_follow_add(case, data):
+    # members, elements and gray_image listed before an add are listed again
+    # after it, whether the add grew the group or not.
+    space, gens = case
+    group, ref = CodeGroup(space, gens), DiminoSpan(space, gens)
+    for _ in range(3):
+        g = data.draw(st.sampled_from(ref.elements) | _elements(space))
+        assert group.members and group.elements and group.gray_image
+        group.add(g)
+        ref.add(g)
+        assert group.members == ref.members
+        assert group.elements == tuple(sorted(ref.members, key=sort_key))
+        assert group.gray_image.words == tuple(sorted(gray(x) for x in ref.members))
 
 
 def test_codegroup_membership(sample_codes):

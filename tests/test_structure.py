@@ -15,7 +15,13 @@ from reference_algebra import same_elements
 import z2z4q8.structure
 from z2z4q8.algebra import AmbientSpace, commutator, inverse, mul, order
 from z2z4q8.code import BinaryCode, closure, is_hadamard, rank_kernel_report
-from z2z4q8.construct import BaseHadamardSpec, base_hadamard, construct_for, lift_to_A
+from z2z4q8.construct import (
+    BaseHadamardSpec,
+    all_allowable_pairs,
+    base_hadamard,
+    construct_for,
+    lift_to_A,
+)
 from z2z4q8.reference import (
     REFERENCE_FAMILY_A,
     REFERENCE_FAMILY_B,
@@ -86,6 +92,20 @@ def test_torsion_and_center_single_q8():
     z = center(q8)
     assert {x.q8[0] for x in t.elements} == {0, 2}
     assert same_elements(t, z)
+
+
+def test_torsion_and_center_generators_are_bases():
+    # A CodeGroup keeps every generator it is given; torsion and center add
+    # only elements not yet spanned, so on these codes each generator doubles
+    # the order.
+    groups = [construct_for(m, k, r)[0] for m in range(3, 8)
+              for k, r in sorted(all_allowable_pairs(m))]
+    groups += [build_reference_code(ref)
+               for family in (REFERENCE_FAMILY_A, REFERENCE_FAMILY_B) for ref in family.codes]
+    assert len(groups) == 27 + 9
+    for group in groups:
+        for sub in (torsion(group), center(group)):
+            assert len(sub.generators) == sub.log2_order
 
 
 def test_standardize_scans_torsion_and_center_once(monkeypatch):
